@@ -3,8 +3,8 @@
 
 // Shared configuration for the paper-reproduction bench binaries. Each
 // binary regenerates one table/figure of the paper's §5 and prints the
-// same series the paper plots. See EXPERIMENTS.md for the mapping and
-// the paper-vs-measured record.
+// same series the paper plots; the binary's name says which
+// (bench_fig7 → Fig 7, bench_table2 → Table 2, ...).
 
 #include <cstdio>
 #include <cstdlib>

@@ -14,12 +14,13 @@ namespace qanaat {
 
 /// A signature over a digest by one node, ⟨m⟩_σi in the paper's notation.
 ///
-/// Substitution note (see DESIGN.md §2): instead of ECDSA over a PKI we use
-/// a deterministic keyed digest, tag = SHA-256(secret_key(i) ‖ digest)
-/// truncated to 16 bytes. Unforgeability holds against the simulated
-/// adversary because secret keys never leave the KeyStore; protocol code
-/// only ever observes sign/verify outcomes, exactly as with real
-/// signatures.
+/// Substitution note: instead of ECDSA over a PKI we use a deterministic
+/// 128-bit tag, a keyed PRF of (secret_key(i), digest) computed inside
+/// the KeyStore (KeyStore::SignWithDomain). Unforgeability holds against
+/// the simulated adversary because secret keys never leave the KeyStore;
+/// protocol code only ever observes sign/verify outcomes, exactly as with
+/// real signatures. Simulated time still pays for real signatures:
+/// CostModel (sim/env.h) charges each verification `verify_sig_us`.
 struct Signature {
   NodeId signer = kInvalidNode;
   uint64_t tag_lo = 0;

@@ -415,8 +415,7 @@ void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
     // after a §4.3.5 arbitration a slot entry may already belong to the
     // rival winner.
     for (const auto& a : m.assignments) {
-      std::pair<ShardRef, SeqNo> slot{
-          ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
+      Slot slot{ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
       auto claim = validated_digest_.find(slot);
       if (claim != validated_digest_.end() &&
           claim->second == m.block_digest) {

@@ -361,19 +361,10 @@ void OrderingNode::HandleRequest(NodeId /*from*/, const RequestMsg& m) {
   if (!engine_->IsPrimary()) {
     // Relay to the current primary (§4.3.4 client retransmission path).
     if (m.is_retransmission) {
-      auto it = reply_cache_.end();
       // Re-send a cached reply if we executed it already.
-      for (auto& [digest, cached] : reply_cache_) {
-        for (auto& [c, ts] : cached->clients) {
-          if (c == tx.client && ts == tx.client_ts) {
-            it = reply_cache_.find(digest);
-            break;
-          }
-        }
-        if (it != reply_cache_.end()) break;
-      }
-      if (it != reply_cache_.end()) {
-        Send(tx.client, it->second);
+      auto it = reply_index_.find({tx.client, tx.client_ts});
+      if (it != reply_index_.end()) {
+        Send(tx.client, reply_cache_.at(it->second));
         return;
       }
     }
@@ -723,6 +714,10 @@ void OrderingNode::ForwardReplyCert(const ReplyCertMsg& m) {
   // cluster replies.
   auto cached = std::make_shared<ReplyCertMsg>(m);
   reply_cache_[m.block_digest] = cached;
+  for (const auto& id : m.clients) {
+    auto [it, fresh] = reply_index_.try_emplace(id, m.block_digest);
+    if (!fresh && m.block_digest < it->second) it->second = m.block_digest;
+  }
   if (!engine_->IsPrimary()) return;
   if (!reply_owner_.count(m.block_digest)) return;
   SortedVec<NodeId> machines;
@@ -800,10 +795,12 @@ bool OrderingNode::HasCrossShardConflict(
 }
 
 OrderingNode::XState& OrderingNode::StateFor(const Sha256Digest& d) {
-  XState& xs = xstates_[d];
-  if (xs.started_at == 0) xs.started_at = now();
-  xs.digest = d;
-  return xs;
+  auto [it, fresh] = xstates_.try_emplace(d);
+  if (fresh) {
+    it->second.digest = d;
+    live_xstates_.insert(d);
+  }
+  return it->second;
 }
 
 void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
@@ -817,6 +814,16 @@ void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
 
 void OrderingNode::FinishCross(XState& xs, bool committed) {
   xs.done = true;
+  live_xstates_.erase(xs.digest);
+  // Every reader of the vote tallies checks `done` first, so a finished
+  // instance sheds them (clearing a tree frees its nodes); it keeps only
+  // what §4.3.4 query answering and a re-decided XOrder read (outcome,
+  // block, assignments, involved).
+  xs.prepared_votes.clear();
+  xs.abort_votes.clear();
+  xs.accepts.clear();
+  xs.commit_votes.clear();
+  xs.assignment_votes.clear();
   if (xs.pinned) {
     xs.pinned = false;
     UnpinCross(xs.block);
@@ -858,8 +865,7 @@ void OrderingNode::FinishCross(XState& xs, bool committed) {
     // switch the slot entry holds the rival winner's digest, and erasing
     // it would let a third claim sneak into a decided slot.
     for (const auto& [shard, a] : xs.assignments) {
-      std::pair<ShardRef, SeqNo> slot{
-          ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
+      Slot slot{ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
       auto claim = validated_digest_.find(slot);
       if (claim != validated_digest_.end() && claim->second == xs.digest) {
         validated_digest_.erase(claim);
@@ -900,20 +906,21 @@ void OrderingNode::RequeueArbitrationLosers(const XState& winner) {
   // mutate xstates_ (deferred re-admission inserts fresh instances),
   // which would invalidate references into the table.
   const Sha256Digest winner_digest = winner.digest;
-  std::vector<std::pair<ShardRef, SeqNo>> slots;
+  std::vector<Slot> slots;
   slots.reserve(winner.assignments.size());
   for (const auto& [shard, a] : winner.assignments) {
     slots.push_back(
         {ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n});
   }
-  // xstates_ is a hashed container — collect matches, then order the
-  // losers by digest so the abort (and retry) schedule is deterministic.
+  // The live index is a hashed container — collect matches, then order
+  // the losers by digest so the abort (and retry) schedule is
+  // deterministic.
   std::vector<Sha256Digest> losers;
-  for (const auto& [d, rival] : xstates_) {
-    if (rival.done || d == winner_digest) continue;
+  for (const Sha256Digest& d : live_xstates_) {
+    if (d == winner_digest) continue;
+    const XState& rival = xstates_.at(d);
     for (const auto& [shard, a] : rival.assignments) {
-      std::pair<ShardRef, SeqNo> slot{
-          ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
+      Slot slot{ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
       if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
         losers.push_back(d);
         break;

@@ -63,6 +63,10 @@ class OrderingNode : public Actor {
   const std::set<std::pair<NodeId, uint64_t>>& arbitration_loser_txs() const {
     return arbitration_loser_txs_;
   }
+  /// Cross instances not yet committed or aborted here. Finished
+  /// instances leave this count even though their outcome is kept for
+  /// §4.3.4 query answering.
+  size_t live_cross_instances() const { return live_xstates_.size(); }
 
  private:
   friend class QanaatSystem;
@@ -126,7 +130,6 @@ class OrderingNode : public Actor {
     bool assign_proposed = false;
     bool done = false;
     bool timer_armed = false;
-    SimTime started_at = 0;
     int retries = 0;
   };
 
@@ -301,26 +304,37 @@ class OrderingNode : public Actor {
   Batcher<Transaction, FlowKey> batcher_;
   FlatMap<CollectionId, SeqNo> state_;  // committed state (γ capture)
   FlatMap<CollectionId, SeqNo> next_seq_;
+  // One slot of a shared chain: (collection shard, sequence number).
+  using Slot = std::pair<ShardRef, SeqNo>;
+  /// The slot-claim maps below are only looked up, never iterated, so a
+  /// hashed container cannot leak an order into the protocol.
+  struct SlotHash {
+    size_t operator()(const Slot& s) const {
+      uint64_t members = s.first.collection.members.mask();
+      uint64_t ref = (members << 32) | static_cast<uint64_t>(s.first.shard);
+      return static_cast<size_t>(Mix64(Mix64(ref) ^ s.second));
+    }
+  };
   // Validated slot claims on incoming cross-cluster IDs: which block
   // digest this node endorsed for each (chain, n). Re-votes for the same
   // digest are idempotent; a different digest claiming the same slot is
   // a conflict (nack). Aborts erase the claim so a replacement block can
   // take the slot. Keyed by digest rather than a watermark so pipelined
   // prepares tolerate out-of-order delivery.
-  std::map<std::pair<ShardRef, SeqNo>, Sha256Digest> validated_digest_;
+  std::unordered_map<Slot, Sha256Digest, SlotHash> validated_digest_;
   // Commit-vote lock (§4.3.5 arbitration safety): the one digest this
   // node has commit-voted for each slot. An endorsement may switch to a
   // lower rival digest while the slot is merely accepted, but never after
   // the commit vote — without the lock, two commit-vote majorities for
   // different digests could assemble inside one cluster. Released only by
   // a matching abort.
-  std::map<std::pair<ShardRef, SeqNo>, Sha256Digest> commit_locked_;
+  std::unordered_map<Slot, Sha256Digest, SlotHash> commit_locked_;
   // (chain, n) assignments our own cluster currently has in flight. A
   // node never endorses a remote block claiming a sequence number its
   // own cluster is still trying to commit (optimistic-mode safety,
   // §4.3.5) — until both claims are digest-comparable, at which point
   // the lower digest wins deterministically.
-  std::set<std::pair<ShardRef, SeqNo>> own_pending_;
+  std::set<Slot> own_pending_;
   // Transactions that lost a digest-priority arbitration (see
   // RequeueArbitrationLosers); kept for the chaos auditor's
   // eventual-commit invariant.
@@ -402,13 +416,34 @@ class OrderingNode : public Actor {
   };
   std::unordered_map<uint64_t, ProgressCheck, TokenHash> progress_checks_;
   uint64_t next_progress_ = 0;
+  // Every cross instance this node has seen, finished ones included:
+  // their outcome answers §4.3.4 commit queries.
   std::unordered_map<Sha256Digest, XState, DigestHash> xstates_;
+  // Digests of the instances in xstates_ that are not yet done, so the
+  // per-commit loser scan touches live rivals only, not the whole run's
+  // history. Entered by StateFor, left by FinishCross (the only place
+  // `done` is set).
+  std::unordered_set<Sha256Digest, DigestHash> live_xstates_;
   std::unordered_map<uint64_t, Sha256Digest, TokenHash> cross_timer_digest_;
   uint64_t next_cross_timer_ = 0;
   // Blocks whose client replies this cluster owns (initiator side).
   std::unordered_set<Sha256Digest, DigestHash> reply_owner_;
   // Reply cache for retransmissions: block digest -> cert msg.
-  std::map<Sha256Digest, std::shared_ptr<const ReplyCertMsg>> reply_cache_;
+  std::unordered_map<Sha256Digest, std::shared_ptr<const ReplyCertMsg>,
+                     DigestHash>
+      reply_cache_;
+  /// Request identities are small sequential integers; mix both halves.
+  struct RequestIdHash {
+    size_t operator()(const RequestId& r) const {
+      return static_cast<size_t>(
+          Mix64(Mix64(static_cast<uint64_t>(r.first)) ^ r.second));
+    }
+  };
+  // Which cached certificate answers a retransmitted request: (client,
+  // client timestamp) -> block digest. A request carried by several
+  // certified blocks maps to the lowest digest, so the answer does not
+  // depend on arrival order.
+  std::unordered_map<RequestId, Sha256Digest, RequestIdHash> reply_index_;
   // Serialization of conflicting cross-shard blocks (paper §4.3.2: no two
   // concurrent transactions may intersect in >= 2 shards).
   struct DeferredCross {

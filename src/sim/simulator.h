@@ -18,7 +18,8 @@ class Actor;
 /// Events execute in (time, insertion-sequence) order, so a single seed
 /// yields a bit-identical run. All protocol code runs inside event
 /// callbacks; the simulator substitutes wall clock + transport of the
-/// paper's AWS deployment (DESIGN.md §2).
+/// paper's AWS deployment, with CPU and network costs charged from
+/// CostModel (sim/env.h).
 ///
 /// Hot-path design: the steady-state events of a run — message delivery
 /// at an actor (ScheduleDeliver), handler completion after CPU

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "harness/chaos.h"
 #include "qanaat/system.h"
 
@@ -29,8 +32,10 @@ class ClientStub : public Actor {
 /// initiation times, asserts full settlement (both rival transactions
 /// commit exactly once, every replica converges), and returns the
 /// client timestamp of the transaction that won the contested height 1
-/// of the shared chain.
-uint64_t RunRivalry(SimTime fire_ent0, SimTime fire_ent1) {
+/// of the shared chain. `late_rival`: enterprise 1's claim reaches
+/// enterprise 0 only after the winner committed there.
+uint64_t RunRivalry(SimTime fire_ent0, SimTime fire_ent1,
+                    bool late_rival = false) {
   QanaatSystem::Options so;
   so.params.num_enterprises = 2;
   so.params.shards_per_enterprise = 1;
@@ -73,18 +78,42 @@ uint64_t RunRivalry(SimTime fire_ent0, SimTime fire_ent1) {
   EXPECT_TRUE(st.ok()) << st.ToString();
   // A loser existed and went through the re-proposal path.
   EXPECT_GT(sys.env().metrics.Get("cross.arbitration_loser"), 0u);
-  // Both rival transactions settled, exactly once each.
+  std::set<std::pair<NodeId, uint64_t>> losers;
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    const auto& ordering = sys.directory().Cluster(c).ordering;
+    for (size_t i = 0; i < ordering.size(); ++i) {
+      const OrderingNode* node = sys.ordering_node(c, static_cast<int>(i));
+      const auto& l = node->arbitration_loser_txs();
+      losers.insert(l.begin(), l.end());
+      // Drained: every instance, loser and winner alike, has left the
+      // live index that the per-commit loser scan walks. The one
+      // exception is a rival that arrives after its slot's winner already
+      // committed: the winner's cluster nacks it but never learns of its
+      // abort at the initiator, so it stays live there (one per node).
+      size_t stale = late_rival && c == 0 ? 1 : 0;
+      EXPECT_EQ(node->live_cross_instances(), stale)
+          << "cluster " << c << " node " << i;
+    }
+  }
+  EXPECT_FALSE(losers.empty());
+  // Both rival transactions settled, exactly once each — the re-proposed
+  // loser included.
   uint64_t winner_ts = 0;
   ShardRef ref{shared, 0};
   for (int c = 0; c < sys.cluster_count(); ++c) {
     uint64_t committed = 0;
+    std::map<std::pair<NodeId, uint64_t>, int> copies;
     const DagLedger& led = sys.ordering_node(c, 0)->exec_core().ledger();
     for (size_t i = 0; i < led.size(); ++i) {
       for (const auto& tx : led.entry(i).block->txs) {
         if (tx.client == stub.id()) ++committed;
+        ++copies[{tx.client, tx.client_ts}];
       }
     }
     EXPECT_EQ(committed, 2u) << "cluster " << c << " did not settle";
+    for (const auto& id : losers) {
+      EXPECT_EQ(copies[id], 1) << "cluster " << c << " ts " << id.second;
+    }
     const auto& chain = led.ChainOf(ref);
     if (!chain.empty()) {
       winner_ts = led.entry(chain[0]).block->txs[0].client_ts;
@@ -113,7 +142,8 @@ TEST(ArbitrationTest, LateRivalYieldsToCommittedWinner) {
   // proposed, accepted by both clusters and commit-locked before
   // enterprise 1's rival even exists — digest priority must not unseat
   // it: the lock wins, the latecomer loses and re-proposes behind it.
-  uint64_t winner = RunRivalry(10 * kMillisecond, 30 * kMillisecond);
+  uint64_t winner = RunRivalry(10 * kMillisecond, 30 * kMillisecond,
+                               /*late_rival=*/true);
   EXPECT_EQ(winner, 1u) << "a committed claim was unseated by a late rival";
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "qanaat/system.h"
 
 namespace qanaat {
@@ -22,8 +24,9 @@ class ScriptClient : public Actor {
   ScriptClient(Env* env, const Directory* dir)
       : Actor(env, "script-client"), dir_(dir) {}
 
-  uint64_t Submit(CollectionId coll, std::vector<ShardId> shards,
-                  std::vector<TxOp> ops, int target_cluster) {
+  /// Signs a fresh transaction without sending it.
+  uint64_t Prepare(CollectionId coll, std::vector<ShardId> shards,
+                   std::vector<TxOp> ops, int target_cluster) {
     Transaction tx;
     tx.client = id();
     tx.client_ts = ++ts_;
@@ -32,30 +35,53 @@ class ScriptClient : public Actor {
     tx.initiator = dir_->Cluster(target_cluster).enterprise;
     tx.ops = std::move(ops);
     tx.client_sig = env()->keystore.Sign(id(), tx.Digest());
-    auto req = std::make_shared<RequestMsg>();
-    req->tx = tx;
-    Send(dir_->Cluster(target_cluster).InitialPrimary(), req);
+    txs_[ts_] = tx;
     return ts_;
+  }
+
+  uint64_t Submit(CollectionId coll, std::vector<ShardId> shards,
+                  std::vector<TxOp> ops, int target_cluster) {
+    uint64_t ts = Prepare(coll, std::move(shards), std::move(ops),
+                          target_cluster);
+    auto req = std::make_shared<RequestMsg>();
+    req->tx = txs_[ts];
+    Send(dir_->Cluster(target_cluster).InitialPrimary(), req);
+    return ts;
+  }
+
+  /// Re-sends a prepared transaction to one node, flagged the way a
+  /// client's reply-timeout retransmission is.
+  void Retransmit(uint64_t ts, NodeId to) {
+    auto req = std::make_shared<RequestMsg>();
+    req->tx = txs_.at(ts);
+    req->is_retransmission = true;
+    Send(to, req);
   }
 
   void OnMessage(NodeId /*from*/, const MessageRef& msg) override {
     if (msg->type == MsgType::kReply) {
       for (const auto& [c, ts] : msg->As<ReplyMsg>()->clients) {
-        if (c == id()) settled_.insert(ts);
+        if (c == id()) ++replies_[ts];
       }
     } else if (msg->type == MsgType::kReplyCert) {
       for (const auto& [c, ts] : msg->As<ReplyCertMsg>()->clients) {
-        if (c == id()) settled_.insert(ts);
+        if (c == id()) ++replies_[ts];
       }
     }
   }
 
-  bool Settled(uint64_t ts) const { return settled_.count(ts) > 0; }
+  bool Settled(uint64_t ts) const { return replies_.count(ts) > 0; }
+  /// Replies (plain or certified) received for one transaction.
+  int Replies(uint64_t ts) const {
+    auto it = replies_.find(ts);
+    return it == replies_.end() ? 0 : it->second;
+  }
 
  private:
   const Directory* dir_;
   uint64_t ts_ = 0;
-  std::set<uint64_t> settled_;
+  std::map<uint64_t, Transaction> txs_;
+  std::map<uint64_t, int> replies_;
 };
 
 // ----------------------------------------------- γ capture at ordering
@@ -253,6 +279,41 @@ TEST(FailureHandlingTest, ClientRetransmitsToAllNodes) {
   // healthy cluster immediately; the crashed cluster's after view
   // change + retransmit).
   EXPECT_GT(c->accepted(), c->issued() / 2);
+}
+
+TEST(FailureHandlingTest, BackupAnswersRetransmissionFromReplyIndex) {
+  // Behind the privacy firewall every ordering node caches the reply
+  // certificates coming back from execution. A backup answers a
+  // retransmitted request straight from that cache once its block has
+  // executed, and relays it to the primary before that.
+  QanaatSystem::Options o = BaseOpts(ProtocolFamily::kFlattened,
+                                     FailureModel::kByzantine, 2, 1);
+  o.params.use_firewall = true;
+  auto sys = QanaatSystem(std::move(o));
+  ScriptClient client(&sys.env(), &sys.directory());
+  CollectionId d_a{EnterpriseSet::Single(0)};
+  const ClusterConfig& cc = sys.directory().Cluster(0);
+  NodeId backup = cc.ordering[1];
+
+  // Before commit: the backup has no certificate and relays to the
+  // primary, which orders the transaction the client never sent it.
+  uint64_t relayed =
+      client.Prepare(d_a, {0}, {TxOp{TxOp::Kind::kAdd, 3, 1, {}}}, 0);
+  client.Retransmit(relayed, backup);
+  sys.env().sim.Run(500 * kMillisecond);
+  EXPECT_TRUE(client.Settled(relayed));
+
+  // After commit: the backup answers from the reply index, with no relay.
+  uint64_t ts = client.Submit(d_a, {0}, {TxOp{TxOp::Kind::kAdd, 4, 1, {}}}, 0);
+  sys.env().sim.Run(sys.env().sim.now() + 500 * kMillisecond);
+  ASSERT_TRUE(client.Settled(ts));
+  int before = client.Replies(ts);
+  uint64_t dups = sys.env().metrics.Get("order.duplicate_request");
+  client.Retransmit(ts, backup);
+  sys.env().sim.Run(sys.env().sim.now() + 100 * kMillisecond);
+  EXPECT_EQ(client.Replies(ts), before + 1);
+  EXPECT_EQ(sys.env().metrics.Get("order.duplicate_request"), dups)
+      << "a cached reply must not reach the primary as a duplicate";
 }
 
 // ------------------------------------------------------ geo distribution
