@@ -4,6 +4,32 @@
 
 namespace qanaat {
 
+namespace {
+
+bool VerifyTransferredEntry(const Directory& dir, const KeyStore& ks,
+                            const StateReplyMsg::Entry& e) {
+  if (e.block == nullptr) return false;
+  Sha256Digest root = e.block->RecomputeTxRoot();
+  if (!(root == e.block->tx_root)) return false;
+  if (!(e.cert.block_digest == e.block->RecomputeDigest(root))) {
+    return false;
+  }
+  // Only ordering nodes of the collection's member clusters legitimately
+  // certify blocks of its chain (keeps Byzantine execution nodes out of
+  // the signer set).
+  std::vector<NodeId> allowed;
+  for (EnterpriseId ent : e.alpha.collection.members.Members()) {
+    for (ShardId s = 0;
+         s < static_cast<ShardId>(dir.params.shards_per_enterprise); ++s) {
+      const auto& ord = dir.Cluster(dir.ClusterIdOf(ent, s)).ordering;
+      allowed.insert(allowed.end(), ord.begin(), ord.end());
+    }
+  }
+  return e.cert.ValidFrom(ks, dir.params.CertQuorum(), allowed);
+}
+
+}  // namespace
+
 ExecutorCore::ExecutorCore(Env* env, const DataModel* model,
                            EnterpriseId enterprise, ShardId shard)
     : env_(env), model_(model), enterprise_(enterprise), shard_(shard) {}
@@ -189,6 +215,98 @@ Status ExecutorCore::Submit(BlockPtr block, CommitCertificate cert,
     waiting_.push_back(std::move(p));
   }
   return Status::Ok();
+}
+
+std::shared_ptr<StateRequestMsg> ExecutorCore::MakeStateRequest(
+    uint64_t frontier, NodeId requester) const {
+  auto req = std::make_shared<StateRequestMsg>();
+  for (const auto& [ref, chain] : ledger_.chains()) {
+    req->heads.push_back(StateRequestMsg::ChainHead{ref.collection, ref.shard,
+                                                    ledger_.HeadOf(ref)});
+  }
+  req->frontier = frontier;
+  req->requester = requester;
+  req->wire_bytes = 48 + static_cast<uint32_t>(req->heads.size()) * 16;
+  return req;
+}
+
+std::shared_ptr<StateReplyMsg> ExecutorCore::BuildStateReply(
+    const StateRequestMsg& req, const CheckpointCertificate* ckpt) const {
+  std::map<ShardRef, SeqNo> req_heads;
+  for (const auto& h : req.heads) {
+    req_heads[ShardRef{h.collection, h.shard}] = h.head;
+  }
+  auto have = [&req_heads](const ShardRef& ref) {
+    auto it = req_heads.find(ref);
+    return it == req_heads.end() ? SeqNo{0} : it->second;
+  };
+  auto rep = std::make_shared<StateReplyMsg>();
+  uint64_t bytes = 64;
+  size_t verify_ops = 0;
+  if (ckpt != nullptr) {
+    rep->ckpt = *ckpt;
+    bytes += ckpt->WireSize();
+    verify_ops += ckpt->sigs.size();
+  }
+  auto add = [&](const BlockPtr& block, const CommitCertificate& cert,
+                 const LocalPart& alpha,
+                 const std::vector<GammaEntry>& gamma) {
+    rep->entries.push_back(StateReplyMsg::Entry{block, cert, alpha, gamma});
+    bytes += 64 + block->WireSize() + cert.WireSize();
+    verify_ops += cert.sigs.size();
+  };
+  // Per-chain cursors into the missing suffix (chain[i] holds the entry
+  // committed at sequence number i + 1, so the requester's gap starts at
+  // index `head`).
+  std::vector<std::pair<const std::vector<size_t>*, size_t>> cursors;
+  for (const auto& [ref, chain] : ledger_.chains()) {
+    SeqNo from = have(ref);
+    if (from < chain.size()) cursors.emplace_back(&chain, from);
+  }
+  bool any = true;
+  while (any && rep->entries.size() < kMaxTransferEntries) {
+    any = false;
+    for (auto& [chain, i] : cursors) {
+      if (i >= chain->size() || rep->entries.size() >= kMaxTransferEntries) {
+        continue;
+      }
+      const DagLedger::Entry& e = ledger_.entry((*chain)[i++]);
+      add(e.block, e.cert, e.alpha, e.gamma);
+      any = true;
+    }
+  }
+  for (const Pending& p : waiting_) {
+    if (rep->entries.size() >= kMaxTransferEntries) break;
+    if (p.alpha.n <= have(ShardRef{p.alpha.collection, p.alpha.shard})) {
+      continue;
+    }
+    add(p.block, p.cert, p.alpha, p.gamma);
+  }
+  if (rep->entries.empty() && rep->ckpt.slot <= req.frontier) return nullptr;
+  rep->requester = req.requester;
+  rep->wire_bytes =
+      static_cast<uint32_t>(std::min<uint64_t>(bytes, UINT32_MAX));
+  rep->sig_verify_ops =
+      static_cast<uint16_t>(std::min<size_t>(verify_ops, 65535));
+  return rep;
+}
+
+ExecutorCore::InstallStats ExecutorCore::InstallTransferred(
+    const Directory& dir, const std::vector<StateReplyMsg::Entry>& es,
+    const InstallHook& on_submit, const ExecCallback& on_done) {
+  InstallStats stats;
+  for (const auto& e : es) {
+    ShardRef ref{e.alpha.collection, e.alpha.shard};
+    if (e.alpha.n <= ledger_.HeadOf(ref)) continue;  // have it
+    if (!VerifyTransferredEntry(dir, env_->keystore, e)) {
+      ++stats.rejected;
+      continue;
+    }
+    Status st = Submit(e.block, e.cert, e.alpha, e.gamma, on_done);
+    if (st.ok()) ++stats.installed;
+    if (on_submit) on_submit(e, st);
+  }
+  return stats;
 }
 
 }  // namespace qanaat

@@ -1,14 +1,16 @@
 #ifndef QANAAT_FIREWALL_EXECUTOR_CORE_H_
 #define QANAAT_FIREWALL_EXECUTOR_CORE_H_
 
-#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "collections/data_model.h"
+#include "consensus/messages.h"
 #include "ledger/dag_ledger.h"
 #include "ledger/transaction.h"
+#include "protocols/context.h"
 #include "sim/env.h"
 #include "store/mvstore.h"
 
@@ -65,6 +67,47 @@ class ExecutorCore {
   uint64_t executed_txs() const { return executed_txs_; }
   size_t pending_blocks() const { return waiting_.size(); }
 
+  // ---- ledger state transfer (served and installed the same way by
+  // ordering nodes and firewall-side execution nodes)
+
+  /// A StateRequest carrying this ledger's per-chain heads.
+  std::shared_ptr<StateRequestMsg> MakeStateRequest(uint64_t frontier,
+                                                    NodeId requester) const;
+  /// The reply to `req`: every entry above the requester's heads, chunked
+  /// to at most kMaxTransferEntries and filled round-robin ACROSS chains —
+  /// oldest missing entry of each chain first — so a long chain cannot
+  /// starve the chain its γ dependencies point at. Committed blocks still
+  /// pending here (the certified-but-wedged tail) travel too: once a
+  /// wedge clears, the tail block has no successor to reveal the gap, so
+  /// a requester recovering during the wedge would otherwise never learn
+  /// them. `ckpt`, when given, rides along (the ordering side's stable
+  /// checkpoint). Null when the reply would carry nothing the requester
+  /// lacks.
+  std::shared_ptr<StateReplyMsg> BuildStateReply(
+      const StateRequestMsg& req,
+      const CheckpointCertificate* ckpt = nullptr) const;
+  static constexpr size_t kMaxTransferEntries = 256;
+
+  struct InstallStats {
+    size_t installed = 0;  // entries Submit accepted
+    size_t rejected = 0;   // entries that failed verification
+  };
+  /// Called after each verified entry is submitted, with Submit's status.
+  using InstallHook =
+      std::function<void(const StateReplyMsg::Entry&, const Status&)>;
+  /// Installs the transferred entries this ledger lacks. Entries are
+  /// self-certifying: the Merkle root and block digest are recomputed
+  /// from the transferred bytes (bypassing every memoized digest) and the
+  /// certificate must carry a quorum of valid signatures from ordering
+  /// nodes of the collection's member clusters, so a faulty serving node
+  /// cannot inject a fake block. Verified entries re-execute through
+  /// Submit, which defers those whose predecessors have not landed yet
+  /// (transfers interleave chains) and dedups repeated chunks.
+  InstallStats InstallTransferred(const Directory& dir,
+                                  const std::vector<StateReplyMsg::Entry>& es,
+                                  const InstallHook& on_submit,
+                                  const ExecCallback& on_done);
+
   struct Pending {
     BlockPtr block;
     CommitCertificate cert;
@@ -73,15 +116,10 @@ class ExecutorCore {
     ExecCallback on_done;
   };
   /// Committed blocks still waiting on a chain predecessor or γ
-  /// dependency. State-transfer servers include these beyond the
-  /// requester's heads: a wedged chain would otherwise hide its certified
-  /// tail from every sync until the wedge resolves — after which the
-  /// requester may never sync again (the tail block has no successor to
-  /// reveal the gap).
+  /// dependency (BuildStateReply serves them as the wedged tail).
   const std::vector<Pending>& pending() const { return waiting_; }
 
  private:
-
   bool Ready(const Pending& p) const;
   void ExecuteNow(Pending& p);
   void DrainReady();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "protocols/cross_messages.h"
-
 namespace qanaat {
 
 // ------------------------------------------------------- ExecutionNode
@@ -44,6 +42,10 @@ void ExecutionNode::OnTimer(uint64_t tag, uint64_t /*payload*/) {
   ArmPullWatchdog();
 }
 
+void ExecutionNode::OnCrash() {
+  pull_armed_ = false;  // its timer died with the old epoch
+}
+
 void ExecutionNode::OnRecover() {
   if (!dir_->params.state_transfer) return;
   env()->metrics.Inc("exec.pull_on_recover");
@@ -59,31 +61,12 @@ void ExecutionNode::ArmPullWatchdog() {
 }
 
 void ExecutionNode::SendPullRequest() {
-  auto req = std::make_shared<StateRequestMsg>();
-  for (const auto& [ref, chain] : core_.ledger().chains()) {
-    req->heads.push_back(StateRequestMsg::ChainHead{
-        ref.collection, ref.shard, core_.ledger().HeadOf(ref)});
-  }
-  // An executor has no consensus frontier; the max sentinel suppresses
-  // checkpoint-only replies — it only ever wants ledger entries.
-  req->frontier = UINT64_MAX;
-  req->requester = id();
-  req->wire_bytes = 48 + static_cast<uint32_t>(req->heads.size()) * 16;
   env()->metrics.Inc("exec.pull_requested");
-  if (cfg_.HasFirewall()) {
-    // The top filter row brokers the transfer to a serving peer.
-    const std::vector<NodeId>& hop = cfg_.filter_rows.back();
-    Send(hop[pull_rr_++ % hop.size()], req);
-    return;
-  }
-  // No firewall (Fig 4(b)): pull from a peer execution node directly —
-  // they, not the ordering nodes, retain the executable ledger.
-  std::vector<NodeId> peers;
-  for (NodeId p : cfg_.execution) {
-    if (p != id()) peers.push_back(p);
-  }
-  if (peers.empty()) return;
-  Send(peers[pull_rr_++ % peers.size()], req);
+  // An executor has no consensus frontier; the max sentinel suppresses
+  // checkpoint-only replies — it only ever wants ledger entries. The top
+  // filter row brokers the transfer to a serving peer.
+  const std::vector<NodeId>& hop = cfg_.filter_rows.back();
+  Send(hop[pull_rr_++ % hop.size()], core_.MakeStateRequest(UINT64_MAX, id()));
 }
 
 void ExecutionNode::HandleStateRequest(NodeId from,
@@ -93,92 +76,28 @@ void ExecutionNode::HandleStateRequest(NodeId from,
       cfg_.execution.end()) {
     return;  // filters validate this too; defense in depth
   }
-  std::map<ShardRef, SeqNo> req_heads;
-  for (const auto& h : m.heads) {
-    req_heads[ShardRef{h.collection, h.shard}] = h.head;
-  }
-  // Same chunking as the ordering-side server: at most kMaxEntries per
-  // reply, filled round-robin ACROSS chains so a long chain cannot
-  // starve the chain its γ dependencies point at; the requester re-pulls
-  // with advanced heads until a round installs nothing new.
-  constexpr size_t kMaxEntries = 256;
-  auto rep = std::make_shared<StateReplyMsg>();
-  const DagLedger& led = core_.ledger();
-  uint64_t bytes = 64;
-  size_t verify_ops = 0;
-  std::vector<std::pair<const std::vector<size_t>*, size_t>> cursors;
-  for (const auto& [ref, chain] : led.chains()) {
-    auto it = req_heads.find(ref);
-    SeqNo have = it == req_heads.end() ? 0 : it->second;
-    if (have < chain.size()) cursors.emplace_back(&chain, have);
-  }
-  bool any = true;
-  while (any && rep->entries.size() < kMaxEntries) {
-    any = false;
-    for (auto& [chain, i] : cursors) {
-      if (i >= chain->size() || rep->entries.size() >= kMaxEntries) {
-        continue;
-      }
-      const DagLedger::Entry& e = led.entry((*chain)[i++]);
-      rep->entries.push_back(
-          StateReplyMsg::Entry{e.block, e.cert, e.alpha, e.gamma});
-      bytes += 64 + e.block->WireSize() + e.cert.WireSize();
-      verify_ops += e.cert.sigs.size();
-      any = true;
-    }
-  }
-  // Certified-but-wedged tail (see the ordering-side server): committed
-  // blocks still waiting on predecessors here must travel too, or a
-  // requester recovering during the wedge can never learn them.
-  for (const auto& p : core_.pending()) {
-    if (rep->entries.size() >= kMaxEntries) break;
-    auto it = req_heads.find(ShardRef{p.alpha.collection, p.alpha.shard});
-    SeqNo have = it == req_heads.end() ? 0 : it->second;
-    if (p.alpha.n <= have) continue;
-    rep->entries.push_back(
-        StateReplyMsg::Entry{p.block, p.cert, p.alpha, p.gamma});
-    bytes += 64 + p.block->WireSize() + p.cert.WireSize();
-    verify_ops += p.cert.sigs.size();
-  }
-  if (rep->entries.empty()) return;  // nothing the requester lacks
-  rep->requester = m.requester;
-  rep->wire_bytes =
-      static_cast<uint32_t>(std::min<uint64_t>(bytes, UINT32_MAX));
-  rep->sig_verify_ops =
-      static_cast<uint16_t>(std::min<size_t>(verify_ops, 65535));
+  auto rep = core_.BuildStateReply(m);
+  if (rep == nullptr) return;  // nothing the requester lacks
   env()->metrics.Inc("exec.state_served");
   env()->metrics.Inc("exec.state_blocks_served", rep->entries.size());
-  // With a firewall `from` is the brokering top-row filter, which routes
-  // the reply to the requester; without one it is the requester itself.
+  // `from` is the brokering top-row filter, which routes the reply to
+  // the requester.
   Send(from, rep);
 }
 
 void ExecutionNode::HandleStateReply(const StateReplyMsg& m) {
   if (!dir_->params.state_transfer) return;
-  size_t installed = 0;
-  for (const auto& e : m.entries) {
-    ShardRef ref{e.alpha.collection, e.alpha.shard};
-    if (e.alpha.n <= core_.ledger().HeadOf(ref)) continue;  // have it
-    if (!VerifyTransferredLedgerEntry(*dir_, env()->keystore, e)) {
-      env()->metrics.Inc("exec.bad_pull_block");
-      continue;
-    }
-    if (seen_.count(e.cert.block_digest)) continue;
-    seen_.insert(e.cert.block_digest);
-    // Re-execution rebuilds the store deterministically. No reply share
-    // goes out for pulled blocks: the clients were answered by the
-    // executors that stayed up, this node only needs to converge.
-    Status st = core_.Submit(
-        e.block, e.cert, e.alpha, e.gamma,
-        [this](const ExecutorCore::ExecResult& res) {
-          ChargeCpu(res.cpu_cost);
-        });
-    if (st.ok()) {
-      ++installed;
-      env()->metrics.Inc("exec.pull_block_installed");
-    }
+  // Re-execution rebuilds the store deterministically. No reply share
+  // goes out for pulled blocks: the clients were answered by the
+  // executors that stayed up, this node only needs to converge.
+  auto stats = core_.InstallTransferred(
+      *dir_, m.entries, nullptr,
+      [this](const ExecutorCore::ExecResult& res) { ChargeCpu(res.cpu_cost); });
+  if (stats.rejected > 0) {
+    env()->metrics.Inc("exec.bad_pull_block", stats.rejected);
   }
-  if (installed > 0) {
+  if (stats.installed > 0) {
+    env()->metrics.Inc("exec.pull_block_installed", stats.installed);
     // Another round with the advanced heads: replies are chunked, and
     // the serving node may have committed more meanwhile. The exchange
     // quiesces once a round installs nothing new.
@@ -194,9 +113,8 @@ void ExecutionNode::HandleExecOrder(const ExecOrderMsg& m) {
     env()->metrics.Inc("exec.bad_cert");
     return;
   }
-  if (seen_.count(m.cert.block_digest)) return;
-  seen_.insert(m.cert.block_digest);
-
+  // Submit rejects a repeated push (one arrives per top-row filter) by
+  // its chain position.
   Status st = core_.Submit(
       m.block, m.cert, m.alpha_here, m.gamma_here,
       [this](const ExecutorCore::ExecResult& res) {
@@ -219,14 +137,7 @@ void ExecutionNode::HandleExecOrder(const ExecOrderMsg& m) {
         reply->sig =
             env()->keystore.SignShare(id(), Sha256::Hash(enc.buffer()));
         reply->wire_bytes += static_cast<uint32_t>(res.clients.size() * 12);
-
-        if (cfg_.HasFirewall()) {
-          Multicast(cfg_.filter_rows.back(), reply);
-        } else {
-          // Fig 4(b): crash-only execution nodes reply straight to the
-          // ordering primary, which forwards to clients.
-          Send(cfg_.InitialPrimary(), reply);
-        }
+        Multicast(cfg_.filter_rows.back(), reply);
       });
   if (!st.ok() && st.code() != StatusCode::kAlreadyExists) {
     env()->metrics.Inc("exec.submit_error");

@@ -16,8 +16,7 @@ namespace qanaat {
 /// separation (paper §3.4/§4.2): verifies the commit certificate coming
 /// through the firewall, appends the block to its ledger, executes it
 /// deterministically, and sends a signed reply share toward the top
-/// filter row (or, without a firewall, directly to clients and the
-/// ordering nodes — Fig 4(b)).
+/// filter row. Execution nodes exist only behind a firewall.
 class ExecutionNode : public Actor {
  public:
   ExecutionNode(Env* env, const Directory* dir, const DataModel* model,
@@ -25,6 +24,9 @@ class ExecutionNode : public Actor {
 
   void OnMessage(NodeId from, const MessageRef& msg) override;
   void OnTimer(uint64_t tag, uint64_t payload) override;
+  /// The pull watchdog's timer dies with the crash epoch; so must its
+  /// armed flag, or the recovered node could never arm it again.
+  void OnCrash() override;
   /// A restarted executor has no timers left and may have missed
   /// ExecOrder pushes entirely while down: pull proactively instead of
   /// waiting for a successor block to reveal the gap.
@@ -48,15 +50,13 @@ class ExecutionNode : public Actor {
   /// execution side. Entries are self-certifying, so a gapped peer can
   /// safely take them from any single serving executor.
   void HandleStateRequest(NodeId from, const StateRequestMsg& m);
-  /// Pull-based state transfer (firewall side): entries are
-  /// self-certifying, so the executor verifies each one against its
-  /// commit certificate before re-executing — a faulty filter or serving
-  /// node cannot inject a fake block.
+  /// Installs a pulled reply (ExecutorCore::InstallTransferred verifies
+  /// every entry, so a faulty filter or serving node cannot inject a fake
+  /// block) and re-pulls while rounds still install something.
   void HandleStateReply(const StateReplyMsg& m);
   /// Sends a StateRequest carrying this node's chain heads toward a peer
-  /// execution node: via one top-row filter (round-robin) with a
-  /// firewall, directly to a peer without one. `requester` routes the
-  /// reply back through the top row.
+  /// execution node via one top-row filter (round-robin); `requester`
+  /// routes the reply back through the top row.
   void SendPullRequest();
   /// Arms the gap watchdog: if blocks are still waiting on missing
   /// predecessors after a consensus timeout with no ledger growth, the
@@ -68,7 +68,6 @@ class ExecutionNode : public Actor {
   int index_;
   ExecutorCore core_;
   bool corrupt_replies_ = false;
-  std::set<Sha256Digest> seen_;
   bool pull_armed_ = false;
   size_t pull_ledger_mark_ = 0;  // ledger size when the watchdog armed
   uint32_t pull_rr_ = 0;         // round-robins the first-hop target

@@ -7,32 +7,6 @@
 
 namespace qanaat {
 
-bool VerifyTransferredLedgerEntry(const Directory& dir, const KeyStore& ks,
-                                  const StateReplyMsg::Entry& e) {
-  if (e.block == nullptr) return false;
-  // Tamper evidence from canonical bytes, bypassing every memoized
-  // digest: Merkle root over the transferred transactions, then the
-  // block digest the certificate must cover.
-  Sha256Digest root = e.block->RecomputeTxRoot();
-  if (!(root == e.block->tx_root)) return false;
-  if (!(e.cert.block_digest == e.block->RecomputeDigest(root))) {
-    return false;
-  }
-  // Quorum of valid signatures from ordering nodes of the collection's
-  // member clusters — the only parties that legitimately certify blocks
-  // of this chain (keeps Byzantine execution nodes out of the signer
-  // set).
-  std::vector<NodeId> allowed;
-  for (EnterpriseId ent : e.alpha.collection.members.Members()) {
-    for (ShardId s = 0;
-         s < static_cast<ShardId>(dir.params.shards_per_enterprise); ++s) {
-      const auto& ord = dir.Cluster(dir.ClusterIdOf(ent, s)).ordering;
-      allowed.insert(allowed.end(), ord.begin(), ord.end());
-    }
-  }
-  return e.cert.ValidFrom(ks, dir.params.CertQuorum(), allowed);
-}
-
 namespace {
 
 void EncodeBlockPtr(Encoder* enc, const BlockPtr& b) {

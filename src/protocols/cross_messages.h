@@ -7,20 +7,9 @@
 #include "consensus/messages.h"
 #include "crypto/signer.h"
 #include "ledger/block.h"
-#include "protocols/context.h"
 #include "sim/message.h"
 
 namespace qanaat {
-
-/// Shared verifier for self-certifying state-transfer ledger entries,
-/// used by both catch-up paths (ordering-side peer sync and the
-/// firewall-side executor pull): recompute the Merkle root and block
-/// digest from the transferred bytes — bypassing every memoized digest —
-/// then require a certificate quorum of valid signatures from ordering
-/// nodes of the collection's member clusters, the only parties that
-/// legitimately certify blocks of that chain.
-bool VerifyTransferredLedgerEntry(const Directory& dir, const KeyStore& ks,
-                                  const StateReplyMsg::Entry& e);
 
 /// ⟨PREPARE, ID, d, m⟩_σPc — coordinator cluster → involved clusters
 /// (paper §4.3, Fig 5). Carries the block and the coordinator cluster's

@@ -202,20 +202,6 @@ void OrderingNode::OnMessage(NodeId from, const MessageRef& msg) {
     case MsgType::kReplyCert:
       ForwardReplyCert(*msg->As<ReplyCertMsg>());
       break;
-    case MsgType::kExecReply: {
-      // Fig 4(b) path: crash-only execution nodes report to the primary,
-      // which forwards a plain reply to the client machines.
-      const auto& m = *msg->As<ExecReplyMsg>();
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->block_digest = m.block_digest;
-      reply->result_digest = m.result_digest;
-      reply->clients = m.clients;
-      reply->sig = env()->keystore.Sign(id(), m.result_digest);
-      SortedVec<NodeId> machines;
-      for (const auto& [c, ts] : m.clients) machines.Insert(c);
-      for (NodeId c : machines) Send(c, reply);
-      break;
-    }
     default:
       break;
   }
@@ -249,11 +235,7 @@ void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
       return;
     }
     env()->metrics.Inc("order.exec_push_backup");
-    if (cfg_.HasFirewall()) {
-      Multicast(cfg_.filter_rows.front(), it->second.msg);
-    } else {
-      Multicast(cfg_.execution, it->second.msg);
-    }
+    Multicast(cfg_.filter_rows.front(), it->second.msg);
     if (++it->second.tries >= 3) {
       pending_exec_push_.erase(it);
     } else {
@@ -655,11 +637,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
     eo->wire_bytes = 128 + block->WireSize() + eo->cert.WireSize();
     eo->sig_verify_ops = static_cast<uint16_t>(eo->cert.sigs.size());
     if (engine_->IsPrimary()) {
-      if (cfg_.HasFirewall()) {
-        Multicast(cfg_.filter_rows.front(), eo);
-      } else {
-        Multicast(cfg_.execution, eo);
-      }
+      Multicast(cfg_.filter_rows.front(), eo);
     } else {
       uint64_t token = next_exec_push_++;
       pending_exec_push_[token] = PendingExecPush{std::move(eo), 0};
@@ -1094,137 +1072,51 @@ void OrderingNode::SendStateRequest() {
                           static_cast<size_t>(state_sync_rr_++)) % n];
   }
   if (peer == id()) return;
-  auto req = std::make_shared<StateRequestMsg>();
-  for (const auto& [ref, chain] : exec_.ledger().chains()) {
-    req->heads.push_back(StateRequestMsg::ChainHead{
-        ref.collection, ref.shard, exec_.ledger().HeadOf(ref)});
-  }
-  req->frontier = engine_->LastDelivered();
-  req->wire_bytes =
-      48 + static_cast<uint32_t>(req->heads.size()) * 16;
   env()->metrics.Inc("order.state_requested");
-  Send(peer, req);
+  Send(peer, exec_.MakeStateRequest(engine_->LastDelivered(), kInvalidNode));
 }
 
 void OrderingNode::HandleStateRequest(NodeId from, const StateRequestMsg& m) {
   if (!dir_->params.state_transfer) return;
-  std::map<ShardRef, SeqNo> req_heads;
-  for (const auto& h : m.heads) {
-    req_heads[ShardRef{h.collection, h.shard}] = h.head;
-  }
-  // Chunked like the other catch-up protocols (fills: 16 slots, Fabric
-  // fetch: 8 blocks): at most kMaxEntries entries per reply, filled
-  // round-robin ACROSS chains — oldest missing entry of each chain
-  // first — so a long chain cannot starve the chain its γ dependencies
-  // point at. The requester re-requests with updated heads until a
-  // round installs nothing new.
-  constexpr size_t kMaxEntries = 256;
-  auto rep = std::make_shared<StateReplyMsg>();
-  rep->ckpt = engine_->stable_checkpoint();
-  const DagLedger& led = exec_.ledger();
-  uint64_t bytes = 64 + rep->ckpt.WireSize();
-  size_t verify_ops = rep->ckpt.sigs.size();
-  // Per-chain cursors into the missing suffix (chain[i] holds the entry
-  // committed at sequence number i + 1, so the requester's gap starts
-  // at index `head`).
-  std::vector<std::pair<const std::vector<size_t>*, size_t>> cursors;
-  for (const auto& [ref, chain] : led.chains()) {
-    auto it = req_heads.find(ref);
-    SeqNo have = it == req_heads.end() ? 0 : it->second;
-    if (have < chain.size()) cursors.emplace_back(&chain, have);
-  }
-  bool any = true;
-  while (any && rep->entries.size() < kMaxEntries) {
-    any = false;
-    for (auto& [chain, i] : cursors) {
-      if (i >= chain->size() || rep->entries.size() >= kMaxEntries) {
-        continue;
-      }
-      const DagLedger::Entry& e = led.entry((*chain)[i++]);
-      rep->entries.push_back(
-          StateReplyMsg::Entry{e.block, e.cert, e.alpha, e.gamma});
-      bytes += 64 + e.block->WireSize() + e.cert.WireSize();
-      verify_ops += e.cert.sigs.size();
-      any = true;
-    }
-  }
-  // Certified-but-wedged tail: blocks this replica committed whose chain
-  // predecessor is still missing live outside the installed chains. A
-  // requester that recovers while a chain is globally wedged would never
-  // see them in any later sync round (once the wedge clears, the tail
-  // block has no successor to reveal the gap) — include them, pending
-  // the same predecessors on the requester's side.
-  for (const auto& p : exec_.pending()) {
-    if (rep->entries.size() >= kMaxEntries) break;
-    auto it = req_heads.find(ShardRef{p.alpha.collection, p.alpha.shard});
-    SeqNo have = it == req_heads.end() ? 0 : it->second;
-    if (p.alpha.n <= have) continue;
-    rep->entries.push_back(
-        StateReplyMsg::Entry{p.block, p.cert, p.alpha, p.gamma});
-    bytes += 64 + p.block->WireSize() + p.cert.WireSize();
-    verify_ops += p.cert.sigs.size();
-  }
-  if (rep->entries.empty() && rep->ckpt.slot <= m.frontier) return;
-  rep->requester = m.requester;  // echo for firewall-routed executor pulls
-  rep->wire_bytes = static_cast<uint32_t>(
-      std::min<uint64_t>(bytes, UINT32_MAX));
-  rep->sig_verify_ops =
-      static_cast<uint16_t>(std::min<size_t>(verify_ops, 65535));
+  auto rep = exec_.BuildStateReply(m, &engine_->stable_checkpoint());
+  if (rep == nullptr) return;
   env()->metrics.Inc("order.state_served");
   env()->metrics.Inc("order.state_blocks_served", rep->entries.size());
   Send(from, rep);
 }
 
-bool OrderingNode::VerifyTransferredEntry(
-    const StateReplyMsg::Entry& e) const {
-  return VerifyTransferredLedgerEntry(*dir_, env()->keystore, e);
-}
-
-bool OrderingNode::InstallTransferredBlock(const StateReplyMsg::Entry& e) {
-  for (const Transaction& tx : e.block->txs) {
-    committed_requests_.Put({tx.client, tx.client_ts}, 0);
-  }
-  auto& st = state_[e.alpha.collection];
-  st = std::max(st, e.alpha.n);
-  // Re-execution rebuilds the multi-versioned store deterministically;
-  // Submit defers entries whose chain predecessor or γ dependencies have
-  // not landed yet (transfers interleave chains arbitrarily) and dedups
-  // entries already queued by an earlier chunk.
-  Status s = exec_.Submit(
-      e.block, e.cert, e.alpha, e.gamma,
-      [this](const ExecutorCore::ExecResult& res) {
-        ChargeCpu(res.cpu_cost);
-      });
-  MaybeWatchExecWedge();
-  if (s.code() == StatusCode::kAlreadyExists) return false;
-  if (!s.ok()) {
-    env()->metrics.Inc("order.state_install_error");
-    return false;
-  }
-  committed_blocks_++;
-  committed_txs_ += e.block->tx_count();
-  env()->metrics.Inc("order.state_block_installed");
-  return true;
-}
-
 void OrderingNode::HandleStateReply(NodeId /*from*/, const StateReplyMsg& m) {
   if (!dir_->params.state_transfer) return;
-  size_t installed = 0;
-  for (const auto& e : m.entries) {
-    ShardRef ref{e.alpha.collection, e.alpha.shard};
-    if (e.alpha.n <= exec_.ledger().HeadOf(ref)) continue;  // have it
-    if (!VerifyTransferredEntry(e)) {
-      env()->metrics.Inc("order.bad_state_block");
-      continue;
-    }
-    if (InstallTransferredBlock(e)) ++installed;
+  auto stats = exec_.InstallTransferred(
+      *dir_, m.entries,
+      [this](const StateReplyMsg::Entry& e, const Status& s) {
+        for (const Transaction& tx : e.block->txs) {
+          committed_requests_.Put({tx.client, tx.client_ts}, 0);
+        }
+        auto& st = state_[e.alpha.collection];
+        st = std::max(st, e.alpha.n);
+        MaybeWatchExecWedge();
+        // An entry already queued by an earlier chunk must not inflate
+        // counters or re-trigger sync rounds.
+        if (s.code() == StatusCode::kAlreadyExists) return;
+        if (!s.ok()) {
+          env()->metrics.Inc("order.state_install_error");
+          return;
+        }
+        committed_blocks_++;
+        committed_txs_ += e.block->tx_count();
+        env()->metrics.Inc("order.state_block_installed");
+      },
+      [this](const ExecutorCore::ExecResult& res) { ChargeCpu(res.cpu_cost); });
+  if (stats.rejected > 0) {
+    env()->metrics.Inc("order.bad_state_block", stats.rejected);
   }
   if (m.ckpt.slot > engine_->LastDelivered()) {
     if (!engine_->InstallCheckpoint(m.ckpt)) {
       env()->metrics.Inc("order.bad_state_ckpt");
     }
   }
-  if (installed > 0) {
+  if (stats.installed > 0) {
     // Another round in case the serving peer itself was behind; it
     // no-ops (and goes unanswered) once everyone agrees.
     ScheduleStateSync(dir_->params.consensus_timeout_us);
@@ -1236,11 +1128,7 @@ void OrderingNode::ReplayExecPushes() {
   env()->metrics.Inc("order.exec_push_replayed", pending_exec_push_.size());
   for (const auto& [token, p] : pending_exec_push_) {
     if (reply_cache_.count(p.msg->cert.block_digest)) continue;
-    if (cfg_.HasFirewall()) {
-      Multicast(cfg_.filter_rows.front(), p.msg);
-    } else {
-      Multicast(cfg_.execution, p.msg);
-    }
+    Multicast(cfg_.filter_rows.front(), p.msg);
   }
   pending_exec_push_.clear();
 }

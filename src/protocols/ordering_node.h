@@ -262,19 +262,12 @@ class OrderingNode : public Actor {
   /// Sends a StateRequest (chain heads + consensus frontier) to the next
   /// peer in round-robin order — any replica can serve, primary or not.
   void SendStateRequest();
+  /// Serves this replica's ledger plus its stable checkpoint.
   void HandleStateRequest(NodeId from, const StateRequestMsg& m);
+  /// Installs the transferred entries (ExecutorCore::InstallTransferred)
+  /// with this host's dedup and γ-capture bookkeeping, then the
+  /// checkpoint.
   void HandleStateReply(NodeId from, const StateReplyMsg& m);
-  /// Verifies one transferred ledger entry: recomputed Merkle root and
-  /// block digest must match the commit certificate, and the certificate
-  /// must carry a quorum of valid signatures from ordering nodes of the
-  /// collection's member clusters.
-  bool VerifyTransferredEntry(const StateReplyMsg::Entry& e) const;
-  /// Installs a verified entry: dedup bookkeeping, γ-capture state, and
-  /// in-order execution (which rebuilds the MvStore deterministically).
-  /// Returns false when the entry was already queued or applied (a
-  /// repeated chunk must not inflate counters or re-trigger sync
-  /// rounds).
-  bool InstallTransferredBlock(const StateReplyMsg::Entry& e);
   /// Re-pushes recently committed blocks through the firewall when this
   /// node becomes primary: the previous primary may have crashed between
   /// committing and forwarding, and execution nodes cannot fill the gap

@@ -387,6 +387,30 @@ TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
   }
 }
 
+// The benign corpus recipe behind the privacy firewall (execution nodes
+// and filter rows). These schedules exercise wedge-triggered executor
+// pulls, ordering-side state requests, push backups and view-change push
+// replay, so a refactor of either state-transfer side or of the firewall
+// routing that moves any schedule shows up here.
+TEST(CorpusGolden, FirewallTraceHashesMatchPinned) {
+  const std::pair<uint64_t, uint64_t> kGolden[] = {
+      {2, 0xf50626d2a5478b7aULL}, {3, 0x53324cefd3f88826ULL},
+      {5, 0x636c9eb5fba82cecULL}, {7, 0x795f50cf4fdd182bULL},
+      {12, 0x1293dc81a566088cULL},
+  };
+  for (const auto& [seed, hash] : kGolden) {
+    ChaosOptions opts =
+        EntryOptions({ChaosStack::kQanaatPbft, seed, AdversaryKind::kNone});
+    opts.use_firewall = true;
+    ChaosReport r = RunChaos(opts);
+    EXPECT_TRUE(r.safety.ok()) << "seed " << seed << ": "
+                               << r.safety.ToString();
+    EXPECT_EQ(r.trace_hash, hash)
+        << "firewall seed " << seed << std::hex << " actual 0x"
+        << r.trace_hash;
+  }
+}
+
 TEST(CorpusReplay, AdversaryRunsAreDeterministic) {
   for (AdversaryKind k :
        {AdversaryKind::kGrayFailure, AdversaryKind::kEquivocation,

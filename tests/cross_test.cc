@@ -189,6 +189,60 @@ TEST(ExecutorPullTest, CrashedExecutorRecoversThroughFilterRows) {
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
+TEST(ExecutorPullTest, WatchdogRearmsAfterCrashWhileArmed) {
+  QanaatSystem::Options opts;
+  opts.params = FirewallParams();
+  opts.seed = 7;
+  QanaatSystem sys(std::move(opts));
+
+  WorkloadParams wl;
+  wl.cross_fraction = 0.0;
+  ClientMachine* client = sys.AddClient(wl, 300);
+  client->Start(0, 1200 * kMillisecond, 0, 2000 * kMillisecond);
+
+  // Cutting every top-row filter off the victim loses the pushes sent in
+  // the window for good (filters forward each block once), so the next
+  // push parks behind the gap and arms the pull watchdog.
+  const ClusterConfig& cc = sys.directory().Cluster(0);
+  ExecutionNode* victim = sys.execution_node(0, 2);
+  auto cut = [&](bool on) {
+    for (NodeId f : cc.filter_rows.back()) {
+      if (on) {
+        sys.net().Partition(f, victim->id());
+      } else {
+        sys.net().HealPartition(f, victim->id());
+      }
+    }
+  };
+  auto gap_at = [&](SimTime t) {
+    sys.env().sim.ScheduleAt(t, [&]() { cut(true); });
+    sys.env().sim.ScheduleAt(t + 20 * kMillisecond, [&]() { cut(false); });
+  };
+  // First gap, then a crash while the watchdog is armed (its timer dies
+  // with the crash epoch) and a recovery that pulls the gap closed.
+  gap_at(300 * kMillisecond);
+  size_t pending_at_crash = 0;
+  sys.env().sim.ScheduleAt(360 * kMillisecond, [&]() {
+    pending_at_crash = victim->core().pending_blocks();
+    victim->Crash();
+  });
+  uint64_t wedged_at_recover = 0;
+  sys.env().sim.ScheduleAt(400 * kMillisecond, [&]() {
+    victim->Recover();
+    wedged_at_recover = sys.env().metrics.Get("exec.pull_wedged");
+  });
+  // Second gap after recovery: only a re-armed watchdog can close it.
+  gap_at(700 * kMillisecond);
+  sys.env().sim.Run(2000 * kMillisecond);
+
+  ASSERT_GT(pending_at_crash, 0u) << "the watchdog was not armed at crash";
+  ASSERT_GT(client->measured_commits(), 100u);
+  EXPECT_GT(sys.env().metrics.Get("exec.pull_wedged"), wedged_at_recover);
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(sys, true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 TEST(ExecutorPullTest, TamperedStateReplyBlockRejected) {
   QanaatSystem::Options opts;
   opts.params = FirewallParams();

@@ -348,5 +348,64 @@ TEST(ExecutorCoreTest, OutOfOrderBlocksExecuteInOrder) {
   EXPECT_EQ(executed, (std::vector<SeqNo>{1, 2, 3}));
 }
 
+TEST(ExecutorCoreTest, StateReplyIsChunkedRoundRobinWithWedgedTail) {
+  Env env(3);
+  DataModel model(2);
+  ASSERT_TRUE(model.AddWorkflow(EnterpriseSet::All(2)).ok());
+  ExecutorCore core(&env, &model, 0, 0);
+  CollectionId root{EnterpriseSet::All(2)};
+  CollectionId local{EnterpriseSet::Single(0)};
+
+  auto submit = [&](CollectionId c, SeqNo n) {
+    auto b = std::make_shared<Block>();
+    b->id.alpha = {c, 0, n};
+    Transaction tx;
+    tx.collection = c;
+    tx.client_ts = n;
+    tx.ops.push_back(TxOp{TxOp::Kind::kWrite, 1, 1, {}});
+    b->txs.push_back(tx);
+    b->Seal();
+    CommitCertificate cert;
+    cert.block_digest = b->Digest();
+    cert.direct = true;
+    cert.sigs.push_back(env.keystore.Sign(0, cert.block_digest));
+    return core.Submit(b, cert, b->id.alpha, {}, nullptr);
+  };
+  const SeqNo kLen = 200;
+  for (SeqNo n = 1; n <= kLen; ++n) {
+    ASSERT_TRUE(submit(root, n).ok());
+    ASSERT_TRUE(submit(local, n).ok());
+  }
+
+  // An empty requester is 400 entries behind: one reply carries the cap,
+  // alternating between the two chains, oldest missing entry first.
+  StateRequestMsg empty;
+  empty.frontier = UINT64_MAX;
+  auto rep = core.BuildStateReply(empty);
+  ASSERT_NE(rep, nullptr);
+  ASSERT_EQ(rep->entries.size(), ExecutorCore::kMaxTransferEntries);
+  EXPECT_EQ(rep->sig_verify_ops, ExecutorCore::kMaxTransferEntries);
+  for (size_t i = 0; i < rep->entries.size(); ++i) {
+    const LocalPart& a = rep->entries[i].alpha;
+    EXPECT_EQ(a.collection, rep->entries[i % 2].alpha.collection) << i;
+    EXPECT_NE(a.collection, rep->entries[(i + 1) % 2].alpha.collection) << i;
+    EXPECT_EQ(a.n, i / 2 + 1) << i;
+  }
+
+  // A requester at this node's own heads lacks nothing.
+  auto current = core.MakeStateRequest(UINT64_MAX, 0);
+  EXPECT_EQ(core.BuildStateReply(*current), nullptr);
+
+  // A committed block parked behind a missing predecessor still travels:
+  // it is certified, and nothing would reveal it once the wedge clears.
+  ASSERT_TRUE(submit(local, kLen + 2).ok());
+  ASSERT_EQ(core.pending_blocks(), 1u);
+  rep = core.BuildStateReply(*current);
+  ASSERT_NE(rep, nullptr);
+  ASSERT_EQ(rep->entries.size(), 1u);
+  EXPECT_EQ(rep->entries[0].alpha.collection, local);
+  EXPECT_EQ(rep->entries[0].alpha.n, kLen + 2);
+}
+
 }  // namespace
 }  // namespace qanaat
