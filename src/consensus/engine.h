@@ -12,6 +12,7 @@
 #include "consensus/value.h"
 #include "sim/env.h"
 #include "sim/message.h"
+#include "sim/watchdog.h"
 
 namespace qanaat {
 
@@ -188,7 +189,10 @@ struct EngineContext {
 /// declares the Byzantine failure model, Multi-Paxos when crash-only.
 class InternalConsensus {
  public:
-  explicit InternalConsensus(EngineContext ctx) : ctx_(std::move(ctx)) {}
+  InternalConsensus(EngineContext ctx, SimTime base_timeout_us)
+      : ctx_(std::move(ctx)),
+        base_timeout_(base_timeout_us),
+        watchdog_(&ctx_.env->sim, kTagWatchdog, ctx_.start_timer) {}
   virtual ~InternalConsensus() = default;
 
   /// Primary-side: order `v`. No-op with a warning metric if called on a
@@ -199,16 +203,15 @@ class InternalConsensus {
   virtual void OnMessage(NodeId from, const MessageRef& msg) = 0;
 
   /// Timer callback relayed by the host (tags >= kEngineTimerBase).
-  virtual void OnTimer(uint64_t tag, uint64_t payload) = 0;
+  void OnTimer(uint64_t tag, uint64_t payload) {
+    if (tag == kTagWatchdog && watchdog_.Fire(payload)) {
+      watchdog_.ArmBy(OnDeadlines(Now()));
+    }
+  }
 
-  /// Host crash notification: every timer armed so far died with the
-  /// crash epoch, so armed-flags must reset or the machinery they guard
-  /// (gap fills, slot watchdogs, view fetches) stays disabled forever in
-  /// the recovered life.
-  virtual void OnHostCrash() {}
-  /// Host recovery notification: re-arm whatever the current state
-  /// warrants (a detected gap, a half-finished takeover).
-  virtual void OnHostRecover() {}
+  /// Host recovery notification: the watchdog timer died with the crash
+  /// epoch, so re-arm it one timeout out (see Watchdog::Rearm).
+  virtual void OnHostRecover() { watchdog_.Rearm(Now() + base_timeout_); }
 
   /// External suspicion hook: the host observed the primary failing to
   /// make progress on work it is responsible for (e.g. a relayed client
@@ -268,9 +271,11 @@ class InternalConsensus {
   bool InstallCheckpoint(const CheckpointCertificate& cert);
 
   static constexpr uint64_t kEngineTimerBase = 1u << 20;
+  static constexpr uint64_t kTagWatchdog = kEngineTimerBase;
 
  protected:
   size_t ClusterSize() const { return ctx_.cluster.size(); }
+  SimTime Now() const { return ctx_.env->sim.now(); }
 
   /// Folds a delivered slot into the history digest; at interval
   /// boundaries broadcasts a CHECKPOINT vote (and self-tallies it).
@@ -290,8 +295,15 @@ class InternalConsensus {
   /// Engine hook: flush deliveries/proposals unblocked by an installed
   /// checkpoint (committed slots above it, queued proposals).
   virtual void ResumeAfterInstall() {}
+  /// Watchdog firing: acts on every deadline expired by `now` and returns
+  /// the earliest one left.
+  virtual SimTime OnDeadlines(SimTime now) = 0;
 
   EngineContext ctx_;
+  SimTime base_timeout_;  // consensus timeout before backoff
+  /// The engine's one timer: every timeout is a deadline on the state it
+  /// guards (a slot, a gap, a view change or takeover in progress).
+  Watchdog watchdog_;
 
  private:
   /// Single-entry memo for CheckpointSignable(slot, digest): votes for

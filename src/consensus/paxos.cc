@@ -5,9 +5,7 @@
 namespace qanaat {
 
 PaxosEngine::PaxosEngine(EngineContext ctx, int f, SimTime base_timeout_us)
-    : InternalConsensus(std::move(ctx)),
-      f_(f),
-      base_timeout_(base_timeout_us) {
+    : InternalConsensus(std::move(ctx), base_timeout_us), f_(f) {
   slots_.reserve(1 << 12);
   // Ballot 0 belongs to index 0 with an empty history: it leads from the
   // start without a phase-1.
@@ -50,7 +48,7 @@ void PaxosEngine::StartSlot(const ConsensusValue& v) {
   my_open_slots_.Insert(slot);
 
   BroadcastAccept(slot, st);
-  ArmSlotTimer(slot, st);
+  ArmSlotTimer(st);
 
   // f = 0 degenerate case: single-node cluster decides immediately.
   if (st.accepted.size() >= Quorum()) {
@@ -177,7 +175,7 @@ void PaxosEngine::HandleAccept(NodeId from, const PaxosAcceptMsg& m) {
     DeliverReady();
     return;
   }
-  ArmSlotTimer(m.slot, st);
+  ArmSlotTimer(st);
 }
 
 void PaxosEngine::HandleAccepted(NodeId from, const PaxosAcceptedMsg& m) {
@@ -268,17 +266,20 @@ void PaxosEngine::MaybeArmGapTimer() {
   // partitioned, or unlucky — and no slot timer exists for a slot we
   // never heard of. Take over after a timeout: phase-1 promises carry
   // every accepted value above our frontier, closing the gap.
-  if (gap_timer_armed_ || max_learned_ <= last_delivered_ + 1) return;
+  if (gap_deadline_ != kNoDeadline || max_learned_ <= last_delivered_ + 1) {
+    return;
+  }
   auto it = slots_.find(last_delivered_ + 1);
   if (it != slots_.end() && it->second.learned) return;  // will deliver
-  gap_timer_armed_ = true;
-  ctx_.start_timer(base_timeout_, kTagGapTimeout, last_delivered_);
+  gap_deadline_ = Now() + base_timeout_;
+  gap_mark_ = last_delivered_;
+  watchdog_.ArmBy(gap_deadline_);
 }
 
-void PaxosEngine::ArmSlotTimer(uint64_t slot, SlotState& st) {
-  if (st.timer_armed || st.learned) return;
-  st.timer_armed = true;
-  ctx_.start_timer(base_timeout_, kTagSlotTimeout, slot);
+void PaxosEngine::ArmSlotTimer(SlotState& st) {
+  if (st.deadline != kNoDeadline || st.learned) return;
+  st.deadline = Now() + base_timeout_;
+  watchdog_.ArmBy(st.deadline);
 }
 
 void PaxosEngine::SuspectPrimary() {
@@ -287,52 +288,46 @@ void PaxosEngine::SuspectPrimary() {
   TakeOver();
 }
 
-void PaxosEngine::OnHostCrash() {
-  // Armed-timer flags must not outlive the timers (the crash epoch kills
-  // every pending one), or gap detection stays disabled after recovery.
-  gap_timer_armed_ = false;
-  for (auto& [slot, st] : slots_) st.timer_armed = false;
-}
-
-void PaxosEngine::OnHostRecover() {
-  MaybeArmGapTimer();
-  if (IsPrimary() && !leading_ && ballot_ > 0) {
-    // Mid-takeover crash: the phase-1 retry timer died with the old
-    // life; restart the solicitation or the ballot stalls forever.
-    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, ballot_);
-  }
-}
-
-void PaxosEngine::OnTimer(uint64_t tag, uint64_t payload) {
-  if (tag == kTagTakeoverRetry) {
-    // Phase-1 stalled (promises lost or a quorum unreachable): re-solicit
-    // while the ballot is still ours and unfinished.
-    if (leading_ || ballot_ != payload || !IsPrimary()) return;
-    ctx_.env->metrics.Inc("paxos.takeover_retry");
-    auto prep = std::make_shared<PaxosPrepareMsg>();
-    prep->ballot = ballot_;
-    prep->last_delivered = last_delivered_;
-    ctx_.broadcast(prep);
-    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, ballot_);
-    return;
-  }
-  if (tag == kTagGapTimeout) {
-    gap_timer_armed_ = false;
-    if (last_delivered_ != payload) {
+SimTime PaxosEngine::OnDeadlines(SimTime now) {
+  if (takeover_deadline_ <= now) RetryTakeover();
+  // A stuck frontier or an unlearned slot past its deadline both call for
+  // a takeover — once per firing, since one new ballot re-drives every
+  // open slot.
+  bool take_over = false;
+  if (gap_deadline_ <= now) {
+    gap_deadline_ = kNoDeadline;
+    if (last_delivered_ != gap_mark_) {
       MaybeArmGapTimer();  // progressed; keep watching
-      return;
+    } else {
+      ctx_.env->metrics.Inc("paxos.gap_takeover");
+      take_over = true;
     }
-    ctx_.env->metrics.Inc("paxos.gap_takeover");
-    TakeOver();
-    return;
   }
-  if (tag != kTagSlotTimeout) return;
-  auto it = slots_.find(payload);
-  if (it == slots_.end()) return;
-  SlotState& st = it->second;
-  st.timer_armed = false;
-  if (st.learned) return;
-  TakeOver();
+  SimTime next = std::min(gap_deadline_, takeover_deadline_);
+  for (auto& [slot, st] : slots_) {
+    if (st.learned) continue;
+    if (st.deadline > now) {
+      next = std::min(next, st.deadline);
+    } else {
+      st.deadline = kNoDeadline;
+      take_over = true;
+    }
+  }
+  if (take_over) TakeOver();
+  return next;
+}
+
+void PaxosEngine::RetryTakeover() {
+  // Phase-1 stalled (promises lost or a quorum unreachable): re-solicit
+  // while the ballot is still ours and unfinished.
+  takeover_deadline_ = kNoDeadline;
+  if (leading_ || !IsPrimary()) return;
+  ctx_.env->metrics.Inc("paxos.takeover_retry");
+  auto prep = std::make_shared<PaxosPrepareMsg>();
+  prep->ballot = ballot_;
+  prep->last_delivered = last_delivered_;
+  ctx_.broadcast(prep);
+  takeover_deadline_ = Now() + base_timeout_;
 }
 
 void PaxosEngine::TakeOver() {
@@ -365,7 +360,8 @@ void PaxosEngine::TakeOver() {
   if (promises_.size() >= Quorum()) {
     FinishTakeover();  // f = 0 degenerate case
   } else {
-    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, ballot_);
+    takeover_deadline_ = Now() + base_timeout_;
+    watchdog_.ArmBy(takeover_deadline_);
   }
 }
 
@@ -489,8 +485,8 @@ void PaxosEngine::FinishTakeover() {
     st.accepted.Insert(ctx_.self);
     my_open_slots_.Insert(slot);
     BroadcastAccept(slot, st);
-    st.timer_armed = false;
-    ArmSlotTimer(slot, st);
+    st.deadline = kNoDeadline;
+    ArmSlotTimer(st);
   }
   DeliverReady();
   DrainProposeQueue();

@@ -36,10 +36,7 @@ class PaxosEngine : public InternalConsensus {
 
   void Propose(const ConsensusValue& v) override;
   void OnMessage(NodeId from, const MessageRef& msg) override;
-  void OnTimer(uint64_t tag, uint64_t payload) override;
   void SuspectPrimary() override;
-  void OnHostCrash() override;
-  void OnHostRecover() override;
 
   bool IsPrimary() const override {
     return ctx_.cluster[ballot_ % ClusterSize()] == ctx_.self;
@@ -72,6 +69,7 @@ class PaxosEngine : public InternalConsensus {
   void GarbageCollectBelow(uint64_t slot) override;
   void AdvanceFrontierTo(uint64_t slot) override;
   void ResumeAfterInstall() override;
+  SimTime OnDeadlines(SimTime now) override;
 
  private:
   struct SlotState {
@@ -86,16 +84,8 @@ class PaxosEngine : public InternalConsensus {
     Sha256Digest learn_digest;
     bool learned = false;
     bool delivered = false;
-    bool timer_armed = false;
+    SimTime deadline = kNoDeadline;  // take over if still unlearned
   };
-
-  static constexpr uint64_t kTagSlotTimeout = kEngineTimerBase + 11;
-  /// Re-broadcast PREPARE while phase-1 has not gathered a quorum.
-  static constexpr uint64_t kTagTakeoverRetry = kEngineTimerBase + 12;
-  /// Frontier stuck while later slots learned: the missing slot's
-  /// messages are gone (nothing retransmits them), so take over — the
-  /// phase-1 promises carry every accepted value above our frontier.
-  static constexpr uint64_t kTagGapTimeout = kEngineTimerBase + 13;
 
   void HandleAccept(NodeId from, const PaxosAcceptMsg& m);
   void HandleAccepted(NodeId from, const PaxosAcceptedMsg& m);
@@ -105,8 +95,10 @@ class PaxosEngine : public InternalConsensus {
   void DeliverReady();
   // Handlers thread the SlotState& they already hold (one hash lookup
   // per message) instead of re-looking the slot up in every helper.
-  void ArmSlotTimer(uint64_t slot, SlotState& st);
+  void ArmSlotTimer(SlotState& st);
   void MaybeArmGapTimer();
+  /// At the takeover deadline: re-solicit promises if phase-1 stalled.
+  void RetryTakeover();
   bool AtPipelineCap() const {
     return ctx_.pipeline_depth > 0 &&
            my_open_slots_.size() >= ctx_.pipeline_depth;
@@ -128,7 +120,6 @@ class PaxosEngine : public InternalConsensus {
   void DropProposeQueue();
 
   int f_;
-  SimTime base_timeout_;
   uint64_t ballot_ = 0;
   /// Highest ballot promised: never accept or promise below it.
   uint64_t promised_ = 0;
@@ -138,7 +129,13 @@ class PaxosEngine : public InternalConsensus {
   uint64_t next_slot_ = 1;
   uint64_t last_delivered_ = 0;
   uint64_t max_learned_ = 0;
-  bool gap_timer_armed_ = false;
+  // Frontier stuck while later slots learned: the missing slot's
+  // messages are gone (nothing retransmits them), so at this deadline take
+  // over — the phase-1 promises carry every accepted value above our
+  // frontier. The mark is the frontier it was set at.
+  SimTime gap_deadline_ = kNoDeadline;
+  uint64_t gap_mark_ = 0;
+  SimTime takeover_deadline_ = kNoDeadline;  // see RetryTakeover
   /// A promise revealed a stable checkpoint beyond our frontier: the
   /// takeover must wait for host state transfer — finishing phase-1 now
   /// would no-op-fill slots the quorum has garbage-collected, and those

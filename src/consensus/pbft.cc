@@ -5,9 +5,7 @@
 namespace qanaat {
 
 PbftEngine::PbftEngine(EngineContext ctx, int f, SimTime base_timeout_us)
-    : InternalConsensus(std::move(ctx)),
-      f_(f),
-      base_timeout_(base_timeout_us) {
+    : InternalConsensus(std::move(ctx), base_timeout_us), f_(f) {
   slots_.reserve(1 << 12);
 }
 
@@ -113,7 +111,7 @@ void PbftEngine::StartSlot(const ConsensusValue& v) {
   // memo filled by SendPrePrepare makes this signable a hit.
   st.prepares.Put(ctx_.self, ctx_.env->keystore.Sign(
       ctx_.self, st.signable.Get(view_, slot, st.digest)));
-  ArmSlotTimer(slot, st);
+  ArmSlotTimer(st);
 }
 
 void PbftEngine::DrainProposeQueue() {
@@ -125,12 +123,12 @@ void PbftEngine::DrainProposeQueue() {
   }
 }
 
-void PbftEngine::ArmSlotTimer(uint64_t slot, SlotState& st) {
-  if (st.timer_armed || st.committed) return;
-  st.timer_armed = true;
+void PbftEngine::ArmSlotTimer(SlotState& st) {
+  if (st.deadline != kNoDeadline || st.committed) return;
   // Exponential backoff on consecutive view changes (§4.3.4).
-  SimTime t = base_timeout_ << std::min<uint64_t>(view_change_count_, 6);
-  ctx_.start_timer(t, kTagSlotTimeout, slot);
+  st.deadline =
+      Now() + (base_timeout_ << std::min<uint64_t>(view_change_count_, 6));
+  watchdog_.ArmBy(st.deadline);
 }
 
 void PbftEngine::SuspectPrimary() {
@@ -138,107 +136,98 @@ void PbftEngine::SuspectPrimary() {
   StartViewChange(view_ + 1, /*lone_suspicion=*/true);
 }
 
-void PbftEngine::OnHostCrash() {
-  // Armed-timer flags must not outlive the timers themselves (the crash
-  // epoch kills every pending one) — a stale true here would disable the
-  // gap-fill / view-fetch machinery for the whole recovered life.
-  gap_timer_armed_ = false;
-  view_fetch_armed_ = false;
-  fill_stalls_ = 0;
-  // A half-done view change dies with the process: its escalation
-  // watchdog is gone, so staying in_view_change_ would wedge normal-case
-  // handling forever. The recovered replica rejoins the current view and
-  // re-suspects if the primary is really gone.
-  in_view_change_ = false;
-  for (auto& [slot, st] : slots_) st.timer_armed = false;
-}
-
 void PbftEngine::OnHostRecover() {
-  MaybeRequestFill();
+  InternalConsensus::OnHostRecover();
   MaybeFetchView();
 }
 
-void PbftEngine::OnTimer(uint64_t tag, uint64_t payload) {
-  if (tag == kTagGapFill) {
-    gap_timer_armed_ = false;
-    if (last_delivered_ > payload) {
-      fill_stalls_ = 0;
-      MaybeRequestFill();  // progressed on its own; recheck later
-      return;
+SimTime PbftEngine::OnDeadlines(SimTime now) {
+  if (gap_deadline_ <= now) FillGap();
+  if (view_fetch_deadline_ <= now) FetchView();
+  SimTime next = std::min(gap_deadline_, view_fetch_deadline_);
+  // A view change this node voted for never installed (votes or the
+  // NEW-VIEW were lost): vote for the next view, whose deadline doubles.
+  // Inserting it keeps this std::map loop's iterator valid.
+  for (auto& [target, deadline] : view_change_voted_) {
+    if (deadline > now) {
+      next = std::min(next, deadline);
+      continue;
     }
-    if (max_committed_ <= last_delivered_) return;
-    if (++fill_stalls_ > 3 && ctx_.request_state_transfer) {
-      // Per-slot fills are going nowhere — the missing slots may be
-      // below every live peer's GC floor. Escalate to state transfer.
-      fill_stalls_ = 0;
-      ctx_.env->metrics.Inc("pbft.fill_escalated");
-      ctx_.request_state_transfer(stable_checkpoint());
-      MaybeRequestFill();
-      return;
+    deadline = kNoDeadline;
+    if (view_ >= target || !in_view_change_) continue;
+    ctx_.env->metrics.Inc("pbft.view_change_escalated");
+    StartViewChange(target + 1, /*lone_suspicion=*/false);
+  }
+  // A slot passed its deadline uncommitted: suspect the primary. A lone
+  // suspicion does not abandon the current view — the node broadcasts
+  // its VIEW-CHANGE vote but keeps participating until f+1 nodes agree
+  // (prevents a single spurious timeout under load from wedging it).
+  bool suspect = false;
+  for (auto& [slot, st] : slots_) {
+    if (st.committed) continue;
+    if (st.deadline > now) {
+      next = std::min(next, st.deadline);
+    } else {
+      st.deadline = kNoDeadline;
+      suspect = true;
     }
+  }
+  if (suspect) StartViewChange(view_ + 1, /*lone_suspicion=*/true);
+  return next;
+}
+
+void PbftEngine::FillGap() {
+  gap_deadline_ = kNoDeadline;
+  if (last_delivered_ > gap_mark_) {
+    fill_stalls_ = 0;
+    MaybeRequestFill();  // progressed on its own; recheck later
+    return;
+  }
+  if (max_committed_ <= last_delivered_) return;
+  if (++fill_stalls_ > 3 && ctx_.request_state_transfer) {
+    // Per-slot fills are going nowhere — the missing slots may be below
+    // every live peer's GC floor. Escalate to state transfer.
+    fill_stalls_ = 0;
+    ctx_.env->metrics.Inc("pbft.fill_escalated");
+    ctx_.request_state_transfer(stable_checkpoint());
+  } else {
     ctx_.env->metrics.Inc("pbft.fill_requested");
     auto req = std::make_shared<FillRequestMsg>();
     req->from_slot = last_delivered_ + 1;
     req->to_slot = std::min(max_committed_, last_delivered_ + 16);
-    NodeId peer = ctx_.self;
-    for (int i = 0; i < static_cast<int>(ClusterSize()) && peer == ctx_.self;
-         ++i) {
-      peer = ctx_.cluster[(ctx_.self_index + 1 + fill_rr_++) % ClusterSize()];
-    }
+    NodeId peer = NextPeer(&fill_rr_);
     if (peer != ctx_.self) ctx_.send(peer, req);
-    MaybeRequestFill();  // re-arm until the gap closes
-    return;
   }
-  if (tag == kTagViewFetch) {
-    view_fetch_armed_ = false;
-    if (view_ >= payload) return;  // the view installed on its own
-    ctx_.env->metrics.Inc("pbft.view_fetch");
-    auto req = std::make_shared<FillRequestMsg>();
-    req->want_view = view_ + 1;
-    NodeId peer = ctx_.self;
-    for (int i = 0; i < static_cast<int>(ClusterSize()) && peer == ctx_.self;
-         ++i) {
-      peer = ctx_.cluster[(ctx_.self_index + 1 + view_fetch_rr_++) %
-                          ClusterSize()];
-    }
-    if (peer != ctx_.self) ctx_.send(peer, req);
-    MaybeFetchView();  // re-arm until the view catches up
-    return;
+  MaybeRequestFill();  // re-arm until the gap closes
+}
+
+void PbftEngine::FetchView() {
+  view_fetch_deadline_ = kNoDeadline;
+  if (view_ >= view_fetch_target_) return;  // the view installed on its own
+  ctx_.env->metrics.Inc("pbft.view_fetch");
+  auto req = std::make_shared<FillRequestMsg>();
+  req->want_view = view_ + 1;
+  NodeId peer = NextPeer(&view_fetch_rr_);
+  if (peer != ctx_.self) ctx_.send(peer, req);
+  MaybeFetchView();  // re-arm until the view catches up
+}
+
+NodeId PbftEngine::NextPeer(int* rr) {
+  NodeId peer = ctx_.self;
+  for (size_t i = 0; i < ClusterSize() && peer == ctx_.self; ++i) {
+    peer = ctx_.cluster[(ctx_.self_index + 1 + (*rr)++) % ClusterSize()];
   }
-  if (tag == kTagVcTimeout) {
-    // The view change we voted for (payload) never installed — votes or
-    // the NEW-VIEW were lost. Escalate to the next view; the exponential
-    // backoff in StartViewChange's timer keeps escalation bounded.
-    if (view_ >= payload || !in_view_change_) return;
-    ctx_.env->metrics.Inc("pbft.view_change_escalated");
-    StartViewChange(payload + 1, /*lone_suspicion=*/false);
-    return;
-  }
-  if (tag != kTagSlotTimeout) return;
-  auto it = slots_.find(payload);
-  if (it == slots_.end()) return;
-  // timer_armed doubles as a cancellation flag: a view change clears it,
-  // invalidating timers armed in the old view.
-  if (!it->second.timer_armed) return;
-  it->second.timer_armed = false;
-  if (it->second.committed) return;
-  // Suspect the primary. A lone suspicion does not abandon the current
-  // view — the node broadcasts its VIEW-CHANGE vote but keeps
-  // participating until f+1 nodes agree (prevents a single spurious
-  // timeout under load from wedging the node).
-  StartViewChange(view_ + 1, /*lone_suspicion=*/true);
+  return peer;
 }
 
 void PbftEngine::StartViewChange(ViewNo target, bool lone_suspicion) {
-  if (view_change_voted_.count(target)) return;
-  view_change_voted_.insert(target);
+  // One escalation deadline per target: the key guard forbids re-arming.
+  SimTime deadline =
+      Now() + (base_timeout_ << std::min<uint64_t>(view_change_count_ + 1, 6));
+  if (!view_change_voted_.emplace(target, deadline).second) return;
   if (!lone_suspicion) in_view_change_ = true;
   ctx_.env->metrics.Inc("pbft.view_change_started");
-  // Watchdog for this target: one per target per node (the voted-set
-  // guard above makes re-arming impossible).
-  ctx_.start_timer(
-      base_timeout_ << std::min<uint64_t>(view_change_count_ + 1, 6),
-      kTagVcTimeout, target);
+  watchdog_.ArmBy(deadline);
   auto vc = std::make_shared<ViewChangeMsg>();
   vc->new_view = target;
   vc->last_delivered = last_delivered_;
@@ -352,7 +341,7 @@ void PbftEngine::HandlePrePrepare(NodeId from, const PrePrepareMsg& m) {
   // The primary's pre-prepare doubles as its prepare vote (its signature
   // covers the same ⟨view, slot, digest⟩ tuple).
   st.prepares.Put(from, m.sig);
-  ArmSlotTimer(m.slot, st);
+  ArmSlotTimer(st);
 
   auto prep = std::make_shared<PrepareMsg>();
   prep->view = m.view;
@@ -388,7 +377,7 @@ void PbftEngine::HandlePrepare(NodeId from, const PrepareMsg& m) {
   }
   st.prepares.Put(from, m.sig);
   // Liveness: a vote for an unknown slot starts a timer.
-  ArmSlotTimer(m.slot, st);
+  ArmSlotTimer(st);
   MaybePrepared(m.slot, st);
 }
 
@@ -425,7 +414,7 @@ void PbftEngine::HandleCommit(NodeId from, const CommitMsg& m) {
   if (created) st.signable.Seed(m.view, m.slot, m.value_digest, fresh);
   if (st.have_preprepare && st.digest != m.value_digest) return;
   st.commits.Put(from, m.sig);
-  ArmSlotTimer(m.slot, st);
+  ArmSlotTimer(st);
   MaybeCommitted(m.slot, st);
 }
 
@@ -487,16 +476,19 @@ void PbftEngine::MaybeRequestFill() {
   // Stalled iff some slot committed locally beyond an undelivered
   // frontier — the frontier slot's messages are gone for good (nothing
   // in PBFT retransmits them), so fetch the decisions from a peer.
-  if (gap_timer_armed_ || max_committed_ <= last_delivered_) return;
-  gap_timer_armed_ = true;
-  ctx_.start_timer(base_timeout_ / 2, kTagGapFill, last_delivered_);
+  if (gap_deadline_ != kNoDeadline || max_committed_ <= last_delivered_) {
+    return;
+  }
+  gap_deadline_ = Now() + base_timeout_ / 2;
+  gap_mark_ = last_delivered_;
+  watchdog_.ArmBy(gap_deadline_);
 }
 
 void PbftEngine::MaybeFetchView() {
   // Arm one fetch per wedge episode: buffered future messages prove a
   // view beyond ours installed somewhere, and if the NEW-VIEW were
   // merely in flight it would arrive well within a timeout.
-  if (view_fetch_armed_ || future_msgs_.empty()) return;
+  if (view_fetch_deadline_ != kNoDeadline || future_msgs_.empty()) return;
   ViewNo target = view_;
   for (const auto& [sender, msg] : future_msgs_) {
     switch (msg->type) {
@@ -514,8 +506,9 @@ void PbftEngine::MaybeFetchView() {
     }
   }
   if (target <= view_) return;
-  view_fetch_armed_ = true;
-  ctx_.start_timer(base_timeout_, kTagViewFetch, target);
+  view_fetch_target_ = target;
+  view_fetch_deadline_ = Now() + base_timeout_;
+  watchdog_.ArmBy(view_fetch_deadline_);
 }
 
 void PbftEngine::HandleFillRequest(NodeId from, const FillRequestMsg& m) {
@@ -689,7 +682,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
     st.committed = false;
     st.prepares.clear();
     st.commits.clear();
-    st.timer_armed = false;
+    st.deadline = kNoDeadline;
   }
 
   if (ctx_.self == expected_primary) {
@@ -714,7 +707,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
       SendPrePrepare(p.slot, st);
       st.prepares.Put(ctx_.self, ctx_.env->keystore.Sign(
           ctx_.self, st.signable.Get(view_, p.slot, st.digest)));
-      ArmSlotTimer(p.slot, st);
+      ArmSlotTimer(st);
     }
     // Fill abandoned slots (proposed in the old view but prepared
     // nowhere) with no-ops so later slots can deliver.
@@ -731,7 +724,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
       SendPrePrepare(slot, st);
       st.prepares.Put(ctx_.self, ctx_.env->keystore.Sign(
           ctx_.self, st.signable.Get(view_, slot, st.digest)));
-      ArmSlotTimer(slot, st);
+      ArmSlotTimer(st);
     }
   } else {
     // Replicas accept the re-proposals as fresh pre-prepares in the new
@@ -751,7 +744,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
           ctx_.self, st.signable.Get(view_, p.slot, p.value_digest));
       ctx_.broadcast(prep);
       st.prepares.Put(ctx_.self, prep->sig);
-      ArmSlotTimer(p.slot, st);
+      ArmSlotTimer(st);
     }
   }
   // Queued proposals were accepted in an earlier view; even if this node

@@ -20,7 +20,7 @@ namespace qanaat {
 /// a slot is prepared with 2f matching PREPAREs + the PRE-PREPARE, and
 /// committed-local with 2f+1 matching COMMITs. Slots deliver in order.
 ///
-/// View change: a replica that suspects the primary (slot timer expires
+/// View change: a replica that suspects the primary (slot deadline passes
 /// before commit) broadcasts VIEW-CHANGE carrying its prepared proofs;
 /// the new primary collects 2f+1, broadcasts NEW-VIEW re-proposing every
 /// prepared slot, and timeouts double on consecutive failures (§4.3.4).
@@ -38,9 +38,7 @@ class PbftEngine : public InternalConsensus {
 
   void Propose(const ConsensusValue& v) override;
   void OnMessage(NodeId from, const MessageRef& msg) override;
-  void OnTimer(uint64_t tag, uint64_t payload) override;
   void SuspectPrimary() override;
-  void OnHostCrash() override;
   void OnHostRecover() override;
 
   bool IsPrimary() const override {
@@ -73,6 +71,7 @@ class PbftEngine : public InternalConsensus {
   void GarbageCollectBelow(uint64_t slot) override;
   void AdvanceFrontierTo(uint64_t slot) override;
   void ResumeAfterInstall() override;
+  SimTime OnDeadlines(SimTime now) override;
 
  private:
   struct SlotState {
@@ -85,27 +84,13 @@ class PbftEngine : public InternalConsensus {
     bool prepared = false;
     bool committed = false;
     bool delivered = false;
-    bool timer_armed = false;
+    SimTime deadline = kNoDeadline;  // suspect the primary if uncommitted
     // Memoized ConsensusSignable for this slot, keyed (view, digest):
     // one derivation serves the pre-prepare signature, the self-prepare,
     // every vote verification and the commit signature; a view change or
     // an equivocating digest misses and recomputes.
     SignableCache signable;
   };
-
-  static constexpr uint64_t kTagSlotTimeout = kEngineTimerBase + 1;
-  /// Escalation: if a view change toward `payload` has not installed by
-  /// the time this fires, vote for the next view — without it, lost
-  /// VIEW-CHANGE votes wedge the cluster forever.
-  static constexpr uint64_t kTagVcTimeout = kEngineTimerBase + 2;
-  /// Gap catch-up: the delivery frontier is stuck while later slots have
-  /// committed; ask a peer to retransmit the decided slots.
-  static constexpr uint64_t kTagGapFill = kEngineTimerBase + 3;
-  /// View synchronization: messages for a future view are buffering but
-  /// the NEW-VIEW that would install it never arrived (it was sent while
-  /// this replica was crashed or partitioned, and nothing retransmits
-  /// it). Ask a peer to re-serve the latest NEW-VIEW it processed.
-  static constexpr uint64_t kTagViewFetch = kEngineTimerBase + 4;
 
   void HandlePrePrepare(NodeId from, const PrePrepareMsg& m);
   void HandlePrepare(NodeId from, const PrepareMsg& m);
@@ -114,12 +99,23 @@ class PbftEngine : public InternalConsensus {
   void HandleNewView(NodeId from, const NewViewMsg& m);
   void HandleFillRequest(NodeId from, const FillRequestMsg& m);
   void HandleFillReply(NodeId from, const FillReplyMsg& m);
-  /// Arms the gap timer when a committed slot sits beyond a stuck
+  /// Sets the gap deadline when a committed slot sits beyond a stuck
   /// delivery frontier (the missing slot's messages were lost — e.g.
   /// while this node was crashed or partitioned). PBFT retransmits
   /// nothing by itself, so without the fill protocol this node would
   /// stall forever and permanently shrink the live quorum.
   void MaybeRequestFill();
+  /// At the gap deadline: ask a peer for the decided slots.
+  void FillGap();
+  /// Sets the view-fetch deadline while messages for a future view are
+  /// buffering: the NEW-VIEW that would install it never arrived (it was
+  /// sent while this replica was crashed or partitioned, and nothing
+  /// retransmits it). At the deadline, FetchView asks a peer to re-serve
+  /// the latest NEW-VIEW it processed.
+  void MaybeFetchView();
+  void FetchView();
+  /// The next other cluster member in `*rr`'s round-robin order.
+  NodeId NextPeer(int* rr);
 
   /// Verifies `sig` over ConsensusSignable(view, slot, digest) without
   /// creating slot state: uses the slot's memo when the slot exists,
@@ -138,7 +134,7 @@ class PbftEngine : public InternalConsensus {
   }
   void StartSlot(const ConsensusValue& v);
   void DrainProposeQueue();
-  void ArmSlotTimer(uint64_t slot, SlotState& st);
+  void ArmSlotTimer(SlotState& st);
   void StartViewChange(ViewNo target, bool lone_suspicion);
   void SendPrePrepare(uint64_t slot, SlotState& st);
 
@@ -146,12 +142,13 @@ class PbftEngine : public InternalConsensus {
                               const Sha256Digest& value_digest) const;
 
   int f_;
-  SimTime base_timeout_;
   ViewNo view_ = 0;
   uint64_t next_slot_ = 1;       // primary's next proposal slot
   uint64_t last_delivered_ = 0;
   uint64_t max_committed_ = 0;   // highest locally committed slot
-  bool gap_timer_armed_ = false;
+  // Gap deadline, and the frontier it was set at.
+  SimTime gap_deadline_ = kNoDeadline;
+  uint64_t gap_mark_ = 0;
   int fill_rr_ = 0;              // round-robin peer cursor for fills
   /// Consecutive gap-fill rounds without frontier progress. Fills that
   /// target slots a peer already garbage-collected can never be served
@@ -174,7 +171,10 @@ class PbftEngine : public InternalConsensus {
   // View-change bookkeeping: new_view -> sender -> message
   std::map<ViewNo, std::map<NodeId, std::shared_ptr<const ViewChangeMsg>>>
       view_changes_rcvd_;
-  std::set<ViewNo> view_change_voted_;
+  // Targets this node voted for -> escalation deadline: if the view has
+  // not installed by then, vote for the next one — without it, lost
+  // VIEW-CHANGE votes wedge the cluster forever.
+  std::map<ViewNo, SimTime> view_change_voted_;
   // New-primary side: targets we already built and broadcast a NEW-VIEW
   // for (one per target — extra votes beyond the quorum must not rebuild
   // it with a different reproposal set).
@@ -191,10 +191,9 @@ class PbftEngine : public InternalConsensus {
   // any peer can re-serve it to a view-wedged replica: the message is
   // self-certifying (signed by its view's primary).
   std::shared_ptr<const NewViewMsg> last_new_view_msg_;
-  bool view_fetch_armed_ = false;
+  SimTime view_fetch_deadline_ = kNoDeadline;
+  ViewNo view_fetch_target_ = 0;
   int view_fetch_rr_ = 0;
-
-  void MaybeFetchView();
 };
 
 }  // namespace qanaat

@@ -15,7 +15,11 @@ ExecutionNode::ExecutionNode(Env* env, const Directory* dir,
       dir_(dir),
       cfg_(dir->Cluster(cluster_id)),
       index_(index),
-      core_(env, model, cfg_.enterprise, cfg_.shard) {}
+      core_(env, model, cfg_.enterprise, cfg_.shard),
+      watchdog_(&env->sim, kTagWatchdog,
+                [this](SimTime delay, uint64_t tag, uint64_t payload) {
+                  StartTimer(delay, tag, payload);
+                }) {}
 
 void ExecutionNode::OnMessage(NodeId from, const MessageRef& msg) {
   if (msg->type == MsgType::kExecOrder) {
@@ -27,9 +31,9 @@ void ExecutionNode::OnMessage(NodeId from, const MessageRef& msg) {
   }
 }
 
-void ExecutionNode::OnTimer(uint64_t tag, uint64_t /*payload*/) {
-  if (tag != kTagPull) return;
-  pull_armed_ = false;
+void ExecutionNode::OnTimer(uint64_t tag, uint64_t payload) {
+  if (tag != kTagWatchdog || !watchdog_.Fire(payload)) return;
+  pull_deadline_ = kNoDeadline;
   if (core_.pending_blocks() == 0) return;  // the push stream caught up
   if (core_.ledger().size() > pull_ledger_mark_) {
     // Progress since arming: pushes are draining the gap. Keep watching
@@ -42,11 +46,9 @@ void ExecutionNode::OnTimer(uint64_t tag, uint64_t /*payload*/) {
   ArmPullWatchdog();
 }
 
-void ExecutionNode::OnCrash() {
-  pull_armed_ = false;  // its timer died with the old epoch
-}
-
 void ExecutionNode::OnRecover() {
+  watchdog_.Rearm(
+      std::max(pull_deadline_, now() + dir_->params.consensus_timeout_us));
   if (!dir_->params.state_transfer) return;
   env()->metrics.Inc("exec.pull_on_recover");
   SendPullRequest();
@@ -54,10 +56,10 @@ void ExecutionNode::OnRecover() {
 }
 
 void ExecutionNode::ArmPullWatchdog() {
-  if (!dir_->params.state_transfer || pull_armed_) return;
-  pull_armed_ = true;
+  if (!dir_->params.state_transfer || pull_deadline_ != kNoDeadline) return;
+  pull_deadline_ = now() + dir_->params.consensus_timeout_us;
   pull_ledger_mark_ = core_.ledger().size();
-  StartTimer(dir_->params.consensus_timeout_us, kTagPull);
+  watchdog_.ArmBy(pull_deadline_);
 }
 
 void ExecutionNode::SendPullRequest() {

@@ -9,6 +9,7 @@
 #include "firewall/executor_core.h"
 #include "protocols/context.h"
 #include "sim/network.h"
+#include "sim/watchdog.h"
 
 namespace qanaat {
 
@@ -24,12 +25,9 @@ class ExecutionNode : public Actor {
 
   void OnMessage(NodeId from, const MessageRef& msg) override;
   void OnTimer(uint64_t tag, uint64_t payload) override;
-  /// The pull watchdog's timer dies with the crash epoch; so must its
-  /// armed flag, or the recovered node could never arm it again.
-  void OnCrash() override;
-  /// A restarted executor has no timers left and may have missed
-  /// ExecOrder pushes entirely while down: pull proactively instead of
-  /// waiting for a successor block to reveal the gap.
+  /// A restarted executor may have missed ExecOrder pushes entirely while
+  /// down: pull proactively instead of waiting for a successor block to
+  /// reveal the gap.
   void OnRecover() override;
 
   const ExecutorCore& core() const { return core_; }
@@ -40,7 +38,7 @@ class ExecutionNode : public Actor {
   void SetCorruptReplies(bool c) { corrupt_replies_ = c; }
 
  private:
-  static constexpr uint64_t kTagPull = 1;
+  static constexpr uint64_t kTagWatchdog = 1;
 
   void HandleExecOrder(const ExecOrderMsg& m);
   /// Serves a peer executor's pull from this node's own ledger. Ordering
@@ -58,7 +56,7 @@ class ExecutionNode : public Actor {
   /// execution node via one top-row filter (round-robin); `requester`
   /// routes the reply back through the top row.
   void SendPullRequest();
-  /// Arms the gap watchdog: if blocks are still waiting on missing
+  /// Sets the pull deadline: if blocks are still waiting on missing
   /// predecessors after a consensus timeout with no ledger growth, the
   /// push stream has lost something for good — switch to pulling.
   void ArmPullWatchdog();
@@ -68,9 +66,10 @@ class ExecutionNode : public Actor {
   int index_;
   ExecutorCore core_;
   bool corrupt_replies_ = false;
-  bool pull_armed_ = false;
-  size_t pull_ledger_mark_ = 0;  // ledger size when the watchdog armed
+  SimTime pull_deadline_ = kNoDeadline;
+  size_t pull_ledger_mark_ = 0;  // ledger size when the deadline was set
   uint32_t pull_rr_ = 0;         // round-robins the first-hop target
+  Watchdog watchdog_;
 };
 
 /// A privacy-firewall filter node (paper §3.4). Filters are stateless

@@ -47,7 +47,7 @@ std::vector<CorpusEntry> CorpusManifest::Enumerate() const {
   };
   std::vector<CorpusEntry> out;
   out.reserve(static_cast<size_t>(seeds) * 3 +
-              static_cast<size_t>(conflict_seeds) * 2);
+              static_cast<size_t>(conflict_seeds) * 2 + kFirewallSeeds);
   for (ChaosStack stack : kStacks) {
     for (uint64_t seed = 1; seed <= static_cast<uint64_t>(seeds); ++seed) {
       out.push_back({stack, seed, AdversaryFor(stack, seed)});
@@ -62,6 +62,10 @@ std::vector<CorpusEntry> CorpusManifest::Enumerate() const {
       out.push_back(
           {stack, kConflictSeedBase + i, AdversaryKind::kCrossConflict});
     }
+  }
+  for (uint64_t i = 1; i <= static_cast<uint64_t>(kFirewallSeeds); ++i) {
+    out.push_back({ChaosStack::kQanaatPbft, kFirewallSeedBase + i,
+                   AdversaryKind::kNone});
   }
   return out;
 }
@@ -82,6 +86,13 @@ int ShardOf(const CorpusEntry& e, int shard_count) {
 }
 
 ChaosOptions EntryOptions(const CorpusEntry& e) {
+  if (e.stack == ChaosStack::kQanaatPbft && e.seed > kFirewallSeedBase) {
+    CorpusEntry recipe = e;
+    recipe.seed -= kFirewallSeedBase;
+    ChaosOptions o = EntryOptions(recipe);
+    o.use_firewall = true;
+    return o;
+  }
   // Mirrors the chaos_test corpus recipe exactly for adversary == kNone;
   // the pinned ChaosGolden trace hashes guard the equivalence.
   ChaosOptions o;

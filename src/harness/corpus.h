@@ -33,6 +33,7 @@ struct CorpusManifest {
   /// the rotation entries at kConflictSeedBase + 1.., so growing either
   /// knob never reshuffles existing cells.
   int conflict_seeds = 8;  // x 2 stacks = 16 more runs
+  // ... plus the kFirewallSeeds pbft runs of the firewall band.
 
   std::vector<CorpusEntry> Enumerate() const;
 };
@@ -40,6 +41,14 @@ struct CorpusManifest {
 /// Seed band for the cross-conflict profile entries — disjoint from the
 /// rotation's 1..seeds band so the two sweeps stay independently growable.
 constexpr uint64_t kConflictSeedBase = 1000;
+
+/// Firewall band: pbft entry kFirewallSeedBase + s runs the benign recipe
+/// of seed s behind the privacy firewall (execution nodes and filter
+/// rows), for s = 1..kFirewallSeeds. Appended after the conflict entries
+/// in a band of its own, so no existing entry is re-keyed and the triple
+/// still reproduces the run.
+constexpr uint64_t kFirewallSeedBase = 2000;
+constexpr int kFirewallSeeds = 40;
 
 /// The adversary the rotation assigns to (stack, seed). Stacks only face
 /// adversaries their fault model admits: equivocation needs a Byzantine

@@ -23,7 +23,11 @@ OrderingNode::OrderingNode(Env* env, const Directory* dir,
             StartTimer(delay, kTagBatch, token);
           },
           [this](const FlowKey& key, std::vector<Transaction> txs,
-                 BatchClose why) { OnBatchClosed(key, std::move(txs), why); }) {
+                 BatchClose why) { OnBatchClosed(key, std::move(txs), why); }),
+      watchdog_(&env->sim, kTagWatchdog,
+                [this](SimTime delay, uint64_t tag, uint64_t payload) {
+                  StartTimer(delay, tag, payload);
+                }) {
   // The dedup tables sit on the per-request hot path. A modest seed
   // reservation skips the first few growth rebuilds; further growth is
   // amortized (each rebuild is a flat copy), which beats the old
@@ -93,25 +97,22 @@ void OrderingNode::OnCrash() {
   // recovered by client retransmission, and the batcher's armed-timer
   // flags must not outlive the timers (which the crash epoch discards).
   batcher_.Reset();
-  progress_checks_.clear();
-  pending_exec_push_.clear();
   state_sync_pending_ = false;  // its timer died with the old epoch
-  exec_wedge_armed_ = false;
-  exec_wedged_ = false;
-  engine_->OnHostCrash();
 }
 
 void OrderingNode::MaybeWatchExecWedge() {
-  if (!dir_->params.state_transfer || exec_wedge_armed_) return;
-  if (exec_.pending_blocks() == 0) return;
-  exec_wedge_armed_ = true;
+  if (!dir_->params.state_transfer ||
+      exec_wedge_deadline_ != kNoDeadline || exec_.pending_blocks() == 0) {
+    return;
+  }
+  exec_wedge_deadline_ = now() + dir_->params.cross_timeout_us;
   exec_ledger_at_arm_ = exec_.ledger().size();
-  StartTimer(dir_->params.cross_timeout_us, kTagExecWedge, 0);
+  watchdog_.ArmBy(exec_wedge_deadline_);
 }
 
 void OrderingNode::OnRecover() {
   engine_->OnHostRecover();
-  MaybeWatchExecWedge();
+  watchdog_.Rearm(now() + dir_->params.cross_timeout_us);
   // A restarted replica missed every commit of its downtime — including
   // cross-cluster commits nothing will ever retransmit (completed
   // instances stop re-driving). Proactively fetch the gap from a peer;
@@ -225,75 +226,77 @@ void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
     SendStateRequest();
     return;
   }
-  if (tag == kTagExecPush) {
-    auto it = pending_exec_push_.find(payload);
-    if (it == pending_exec_push_.end()) return;
-    if (reply_cache_.count(it->second.msg->cert.block_digest)) {
-      // A reply certificate came back down the firewall: the execution
-      // nodes saw the block, nothing to do.
-      pending_exec_push_.erase(it);
-      return;
-    }
-    env()->metrics.Inc("order.exec_push_backup");
-    Multicast(cfg_.filter_rows.front(), it->second.msg);
-    if (++it->second.tries >= 3) {
-      pending_exec_push_.erase(it);
-    } else {
-      StartTimer(dir_->params.cross_timeout_us, kTagExecPush, payload);
-    }
-    return;
-  }
-  if (tag == kTagExecWedge) {
-    exec_wedge_armed_ = false;
-    if (exec_.pending_blocks() == 0) {
-      exec_wedged_ = false;
-      return;
-    }
-    if (exec_.ledger().size() == exec_ledger_at_arm_) {
-      exec_wedged_ = true;
+  if (tag == kTagWatchdog && watchdog_.Fire(payload)) OnDeadlines();
+}
+
+void OrderingNode::OnDeadlines() {
+  if (exec_wedge_deadline_ <= now()) {
+    exec_wedge_deadline_ = kNoDeadline;
+    if (exec_.pending_blocks() > 0 &&
+        exec_.ledger().size() == exec_ledger_at_arm_) {
       env()->metrics.Inc("order.exec_wedge_detected");
       ScheduleStateSync(0);
-    } else {
-      exec_wedged_ = false;  // progressing again
     }
     MaybeWatchExecWedge();
-    return;
   }
-  if (tag == kTagProgress) {
-    auto it = progress_checks_.find(payload);
-    if (it == progress_checks_.end()) return;
-    if (IsDuplicateRequest(it->second.id)) {
-      // A proposal carrying the request was observed — primary is live.
-      progress_checks_.erase(it);
-      return;
+  while (!pending_exec_push_.empty() &&
+         pending_exec_push_.front().deadline <= now()) {
+    PendingExecPush p = std::move(pending_exec_push_.front());
+    pending_exec_push_.pop_front();
+    // A reply certificate that came back down the firewall means the
+    // execution nodes saw the block: nothing to do.
+    if (reply_cache_.count(p.msg->cert.block_digest)) continue;
+    env()->metrics.Inc("order.exec_push_backup");
+    Multicast(cfg_.filter_rows.front(), p.msg);
+    if (++p.tries < 3) {
+      p.deadline = now() + dir_->params.cross_timeout_us;
+      pending_exec_push_.push_back(std::move(p));
     }
-    if (engine_->LastDelivered() != it->second.delivered_at_arm) {
-      // Consensus moved since the relay: the primary is alive and the
-      // request is parked for some other (legitimate) reason. Suspecting
-      // here would thrash views on a healthy cluster.
-      progress_checks_.erase(it);
-      return;
-    }
-    if (++it->second.tries > 3) {
-      // The request is lost upstream (e.g. dropped on the wire); the
-      // client's retransmission will start a fresh watchdog.
-      progress_checks_.erase(it);
-      return;
+  }
+  while (!progress_checks_.empty() &&
+         progress_checks_.front().deadline <= now()) {
+    ProgressCheck pc = progress_checks_.front();
+    progress_checks_.pop_front();
+    // Dropped when a proposal carrying the request was observed, when
+    // consensus moved since the relay (the primary is alive and the
+    // request is parked for a legitimate reason — suspecting would thrash
+    // views on a healthy cluster), or after three tries (the request is
+    // lost upstream; the client's retransmission starts a fresh check).
+    if (IsDuplicateRequest(pc.id) ||
+        engine_->LastDelivered() != pc.delivered_at_arm || ++pc.tries > 3) {
+      continue;
     }
     env()->metrics.Inc("order.primary_suspected");
     engine_->SuspectPrimary();
-    it->second.delivered_at_arm = engine_->LastDelivered();
-    StartTimer(2 * dir_->params.consensus_timeout_us, kTagProgress, payload);
-    return;
+    pc.delivered_at_arm = engine_->LastDelivered();
+    pc.deadline = now() + 2 * dir_->params.consensus_timeout_us;
+    progress_checks_.push_back(pc);
   }
-  if (tag == kTagCross) {
-    auto it = cross_timer_digest_.find(payload);
-    if (it == cross_timer_digest_.end()) return;
-    Sha256Digest d = it->second;
-    cross_timer_digest_.erase(it);
+  SimTime next = exec_wedge_deadline_;
+  if (!pending_exec_push_.empty()) {
+    next = std::min(next, pending_exec_push_.front().deadline);
+  }
+  if (!progress_checks_.empty()) {
+    next = std::min(next, progress_checks_.front().deadline);
+  }
+  // Expired cross instances act in deadline order (ties by digest): the
+  // live index is a hashed container.
+  std::vector<std::pair<SimTime, Sha256Digest>> expired;
+  for (const Sha256Digest& d : live_xstates_) {
+    SimTime deadline = xstates_.at(d).deadline;
+    if (deadline <= now()) {
+      expired.emplace_back(deadline, d);
+    } else {
+      next = std::min(next, deadline);
+    }
+  }
+  watchdog_.ArmBy(next);
+  std::sort(expired.begin(), expired.end());
+  for (const auto& [deadline, d] : expired) {
+    // An earlier timeout's re-drive may have finished this instance.
     auto xit = xstates_.find(d);
-    if (xit == xstates_.end() || xit->second.done) return;
-    xit->second.timer_armed = false;
+    if (xit == xstates_.end() || xit->second.done) continue;
+    xit->second.deadline = kNoDeadline;
     env()->metrics.Inc("cross.timeout");
     // Initiator/coordinator primary: re-drive the instance — some votes
     // or the PREPARE/PROPOSE itself may have been lost, and nothing else
@@ -303,7 +306,7 @@ void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
     // machinery (arbitration back-off) and reshaped xstates_ — re-find
     // before touching the state again.
     xit = xstates_.find(d);
-    if (xit == xstates_.end() || xit->second.done) return;
+    if (xit == xstates_.end() || xit->second.done) continue;
     XState& xs = xit->second;
     // §4.3.4: query the coordinator/initiator cluster for the outcome.
     auto q = std::make_shared<QueryMsg>(MsgType::kCommitQuery);
@@ -317,7 +320,6 @@ void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
     }
     Multicast(dir_->Cluster(coord).ordering, q);
     ArmCrossTimer(d);
-    return;
   }
 }
 
@@ -410,8 +412,7 @@ bool OrderingNode::IntakeGated() const {
   // cost on a healthy primary is negligible — transient γ-deferrals
   // rarely coincide with intake, and gated clients simply retransmit.
   return dir_->params.state_transfer &&
-         (state_sync_pending_ || exec_wedged_ ||
-          exec_.pending_blocks() > 0);
+         (state_sync_pending_ || exec_.pending_blocks() > 0);
 }
 
 SimTime OrderingNode::DedupWindowUs() const {
@@ -471,12 +472,12 @@ void OrderingNode::MaybePurgeDedup() {
 }
 
 void OrderingNode::WatchRelayedRequest(const Transaction& tx) {
-  uint64_t token = next_progress_++;
   ProgressCheck pc;
   pc.id = {tx.client, tx.client_ts};
   pc.delivered_at_arm = engine_->LastDelivered();
-  progress_checks_[token] = pc;
-  StartTimer(2 * dir_->params.consensus_timeout_us, kTagProgress, token);
+  pc.deadline = now() + 2 * dir_->params.consensus_timeout_us;
+  progress_checks_.push_back(pc);
+  watchdog_.ArmBy(pc.deadline);
 }
 
 LocalPart OrderingNode::NextAlpha(const CollectionId& c) {
@@ -639,22 +640,20 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
     if (engine_->IsPrimary()) {
       Multicast(cfg_.filter_rows.front(), eo);
     } else {
-      uint64_t token = next_exec_push_++;
-      pending_exec_push_[token] = PendingExecPush{std::move(eo), 0};
-      StartTimer(dir_->params.cross_timeout_us, kTagExecPush, token);
+      SimTime deadline = now() + dir_->params.cross_timeout_us;
+      pending_exec_push_.push_back(PendingExecPush{std::move(eo), 0, deadline});
+      watchdog_.ArmBy(deadline);
     }
     return;
   }
 
   // Co-located execution (crash clusters; Byzantine without separation):
   // every ordering node executes.
-  bool primary = engine_->IsPrimary();
   Status st2 = exec_.Submit(
       block, std::move(cert), alpha, std::move(gamma),
-      [this, reply_from_here, primary](const ExecutorCore::ExecResult& res) {
+      [this, reply_from_here](const ExecutorCore::ExecResult& res) {
         ChargeCpu(res.cpu_cost);
-        if (!reply_from_here) return;
-        OnExecutedReply(res, primary);
+        if (reply_from_here) OnExecutedReply(res);
       });
   if (!st2.ok() && st2.code() != StatusCode::kAlreadyExists) {
     env()->metrics.Inc("order.commit_submit_error");
@@ -662,8 +661,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
   MaybeWatchExecWedge();
 }
 
-void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res,
-                                   bool primary) {
+void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res) {
   // Every executing node replies; the client machine applies its
   // acceptance rule (first reply on crash clusters, f+1 matching results
   // on Byzantine ones). Suppressing non-primary replies on crash
@@ -671,7 +669,6 @@ void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res,
   // leadership can land on a recovered replica whose execution lags its
   // consensus (its ledger misses blocks from its crashed life), and then
   // nobody ever answers the clients.
-  (void)primary;
   auto reply = std::make_shared<ReplyMsg>();
   reply->block_digest = res.block->Digest();
   reply->result_digest = res.result_digest;
@@ -783,11 +780,9 @@ OrderingNode::XState& OrderingNode::StateFor(const Sha256Digest& d) {
 
 void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
   XState& xs = StateFor(d);
-  if (xs.timer_armed || xs.done) return;
-  xs.timer_armed = true;
-  uint64_t token = next_cross_timer_++;
-  cross_timer_digest_[token] = d;
-  StartTimer(dir_->params.cross_timeout_us, kTagCross, token);
+  if (xs.deadline != kNoDeadline || xs.done) return;
+  xs.deadline = now() + dir_->params.cross_timeout_us;
+  watchdog_.ArmBy(xs.deadline);
 }
 
 void OrderingNode::FinishCross(XState& xs, bool committed) {
@@ -1049,9 +1044,9 @@ void OrderingNode::HandleQuery(NodeId from, const QueryMsg& m) {
     Send(from, cm);
     return;
   }
-  // If we have no record or it is still pending, count suspicion toward
-  // the primary (a local-majority of queries triggers a view change,
-  // §4.3.4).
+  // No certified outcome here (no record, or still pending): nothing to
+  // answer. The asker re-queries at its next cross deadline; the metric
+  // only counts such queries.
   env()->metrics.Inc("cross.query_pending");
 }
 
@@ -1126,7 +1121,7 @@ void OrderingNode::HandleStateReply(NodeId /*from*/, const StateReplyMsg& m) {
 void OrderingNode::ReplayExecPushes() {
   if (!cfg_.SeparatedExecution() || pending_exec_push_.empty()) return;
   env()->metrics.Inc("order.exec_push_replayed", pending_exec_push_.size());
-  for (const auto& [token, p] : pending_exec_push_) {
+  for (const PendingExecPush& p : pending_exec_push_) {
     if (reply_cache_.count(p.msg->cert.block_digest)) continue;
     Multicast(cfg_.filter_rows.front(), p.msg);
   }

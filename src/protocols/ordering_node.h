@@ -18,6 +18,7 @@
 #include "common/flat_map.h"
 #include "protocols/request_table.h"
 #include "sim/network.h"
+#include "sim/watchdog.h"
 
 namespace qanaat {
 
@@ -129,17 +130,16 @@ class OrderingNode : public Actor {
     bool order_cert_known = false;
     bool assign_proposed = false;
     bool done = false;
-    bool timer_armed = false;
+    // Cross timeout (§4.3.4): re-drive / query the outcome if the
+    // instance is still live by then (kNoDeadline: not watched).
+    SimTime deadline = kNoDeadline;
     int retries = 0;
   };
 
   static constexpr uint64_t kTagBatch = 1;
-  static constexpr uint64_t kTagCross = 2;
-  static constexpr uint64_t kTagRetry = 3;
-  static constexpr uint64_t kTagProgress = 4;
-  static constexpr uint64_t kTagStateSync = 5;
-  static constexpr uint64_t kTagExecWedge = 6;
-  static constexpr uint64_t kTagExecPush = 7;
+  static constexpr uint64_t kTagRetry = 2;
+  static constexpr uint64_t kTagStateSync = 3;
+  static constexpr uint64_t kTagWatchdog = 4;
 
   // ---- request intake / batching
   void HandleRequest(NodeId from, const RequestMsg& m);
@@ -159,7 +159,7 @@ class OrderingNode : public Actor {
   /// incomplete, and admitting a retransmission whose commit we have not
   /// learned yet re-orders it into a duplicate block.
   bool IntakeGated() const;
-  /// Arms a progress watchdog for a request relayed to the primary: if no
+  /// Sets a progress deadline for a request relayed to the primary: if no
   /// proposal containing it is observed in time, suspect the primary —
   /// otherwise a primary that crashed with nothing in flight is never
   /// suspected and the cluster ignores new requests forever.
@@ -187,7 +187,7 @@ class OrderingNode : public Actor {
   void CommitBlock(const BlockPtr& block, CommitCertificate cert,
                    const LocalPart& alpha, std::vector<GammaEntry> gamma,
                    bool reply_from_here);
-  void OnExecutedReply(const ExecutorCore::ExecResult& res, bool primary);
+  void OnExecutedReply(const ExecutorCore::ExecResult& res);
   void ForwardReplyCert(const ReplyCertMsg& m);
   static std::vector<ShardId> AllShards(const XState& xs);
 
@@ -250,6 +250,10 @@ class OrderingNode : public Actor {
   bool FlattenedCftFastPath(const XState& xs) const;
 
   // ---- failure handling
+  /// Watchdog firing: acts on every expired host deadline (executor
+  /// wedge, exec push, relayed-request progress, cross instance) and
+  /// re-arms for the earliest one left.
+  void OnDeadlines();
   void HandleQuery(NodeId from, const QueryMsg& m);
   /// Records a certified cross-instance outcome for query answering.
   void RecordOutcome(XState& xs, const CommitCertificate& cert, bool abort);
@@ -273,7 +277,7 @@ class OrderingNode : public Actor {
   /// committing and forwarding, and execution nodes cannot fill the gap
   /// themselves (the wiring only lets them talk to the top filter row).
   void ReplayExecPushes();
-  /// Arms the executor-wedge watchdog while committed blocks sit
+  /// Sets the executor-wedge deadline while committed blocks sit
   /// deferred: a block whose chain predecessor was lost for good (e.g. a
   /// cross-cluster commit this node missed while crashed or partitioned
   /// — completed instances are never retransmitted) wedges the ledger at
@@ -390,25 +394,19 @@ class OrderingNode : public Actor {
   void PinCross(const BlockPtr& block);
   void UnpinCross(const BlockPtr& block);
   SimTime last_dedup_purge_ = 0;
-  // Progress watchdog for a relayed request: if neither the request is
-  // observed in a proposal nor any slot delivers before the timer fires,
-  // the primary is suspected. The delivery baseline distinguishes a dead
+  // Progress check for a relayed request: if neither the request is
+  // observed in a proposal nor any slot delivers by the deadline, the
+  // primary is suspected. The delivery baseline distinguishes a dead
   // primary from a request parked for a legitimate reason (deferred
-  // cross-shard conflict, stalled cross instance).
+  // cross-shard conflict, stalled cross instance). Every check waits the
+  // same timeout, so the queue is in deadline order.
   struct ProgressCheck {
     std::pair<NodeId, uint64_t> id;
     int tries = 0;
     uint64_t delivered_at_arm = 0;
+    SimTime deadline = kNoDeadline;
   };
-  /// Sequential tokens need a mixing hash; looked up per watchdog
-  /// firing, never iterated.
-  struct TokenHash {
-    size_t operator()(uint64_t t) const {
-      return static_cast<size_t>(Mix64(t + 0x9e3779b97f4a7c15ULL));
-    }
-  };
-  std::unordered_map<uint64_t, ProgressCheck, TokenHash> progress_checks_;
-  uint64_t next_progress_ = 0;
+  std::deque<ProgressCheck> progress_checks_;
   // Every cross instance this node has seen, finished ones included:
   // their outcome answers §4.3.4 commit queries.
   std::unordered_map<Sha256Digest, XState, DigestHash> xstates_;
@@ -417,8 +415,6 @@ class OrderingNode : public Actor {
   // history. Entered by StateFor, left by FinishCross (the only place
   // `done` is set).
   std::unordered_set<Sha256Digest, DigestHash> live_xstates_;
-  std::unordered_map<uint64_t, Sha256Digest, TokenHash> cross_timer_digest_;
-  uint64_t next_cross_timer_ = 0;
   // Blocks whose client replies this cluster owns (initiator side).
   std::unordered_set<Sha256Digest, DigestHash> reply_owner_;
   // Reply cache for retransmissions: block digest -> cert msg.
@@ -454,27 +450,28 @@ class OrderingNode : public Actor {
   // round-robin so non-primary replicas serve just as often.
   bool state_sync_pending_ = false;
   int state_sync_rr_ = 0;
-  // Executor-wedge watchdog state (see MaybeWatchExecWedge).
-  bool exec_wedge_armed_ = false;
+  // Executor-wedge deadline and the ledger size it was set at (see
+  // MaybeWatchExecWedge).
+  SimTime exec_wedge_deadline_ = kNoDeadline;
   size_t exec_ledger_at_arm_ = 0;
-  /// A wedge was DETECTED (deferred blocks + no ledger growth for a full
-  /// cross-timeout) and has not drained yet. Distinct from a transient
-  /// deferral, which is normal cross-shard machinery and must not gate
-  /// intake.
-  bool exec_wedged_ = false;
   // Committed-but-possibly-unforwarded ExecOrder messages (separated
-  // execution only). Backups keep each one under an evidence watchdog:
+  // execution only). Backups keep each one under an evidence deadline:
   // if no reply certificate for the block comes back down the firewall
   // within a cross-timeout, the primary's push is presumed lost (it may
   // have been crashed at commit time — cross-cluster commits need no
   // live primary) and the backup pushes itself. A view change replays
   // everything immediately. Execution-side dedup absorbs duplicates.
+  // Every entry waits the same timeout, so the queue is in deadline
+  // order.
   struct PendingExecPush {
     std::shared_ptr<ExecOrderMsg> msg;
     int tries = 0;
+    SimTime deadline = kNoDeadline;
   };
-  std::map<uint64_t, PendingExecPush> pending_exec_push_;
-  uint64_t next_exec_push_ = 0;
+  std::deque<PendingExecPush> pending_exec_push_;
+
+  // The host's one watchdog timer, armed for the earliest deadline above.
+  Watchdog watchdog_;
 
   uint64_t committed_blocks_ = 0;
   uint64_t committed_txs_ = 0;

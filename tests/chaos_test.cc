@@ -116,17 +116,24 @@ TEST(ChaosGolden, TraceHashesMatchPinnedSchedules) {
   // gap). Each adds recovery traffic only on faulty schedules — these
   // seeds crash and drop, so their schedules legitimately moved. The
   // Fabric baseline has no cross-shard machinery: its pins MUST hold.
+  // Qanaat pins re-pinned again when every failure timeout became a
+  // deadline served by one watchdog per module: a deadline pending at a
+  // crash now survives it and fires after recovery (cross instances,
+  // slots, relayed-request checks, exec pushes), and PBFT/Paxos no longer
+  // act on a slot timeout superseded by a view change or takeover. Every
+  // one of these seeds crashes replicas, so every Qanaat schedule moved;
+  // each still passes safety and resumes liveness after heal.
   static const Golden kGolden[] = {
-      {ChaosStack::kQanaatPbft, 2u, 0x1bd5d9bca2dc5812ULL},
-      {ChaosStack::kQanaatPbft, 3u, 0xfcbba6078d99f164ULL},
-      {ChaosStack::kQanaatPbft, 5u, 0x62e30efd37e60b66ULL},
-      {ChaosStack::kQanaatPbft, 7u, 0xa26ba5da16b8271bULL},
-      {ChaosStack::kQanaatPbft, 12u, 0xb6aa66678d9ddb04ULL},
-      {ChaosStack::kQanaatPaxos, 2u, 0xcc76ee3e909b56b1ULL},
-      {ChaosStack::kQanaatPaxos, 3u, 0xb8fea86308d28099ULL},
-      {ChaosStack::kQanaatPaxos, 5u, 0x78060eff0f1281dcULL},
-      {ChaosStack::kQanaatPaxos, 7u, 0x1cb395ee292d88c4ULL},
-      {ChaosStack::kQanaatPaxos, 12u, 0x20b8d76fa8064308ULL},
+      {ChaosStack::kQanaatPbft, 2u, 0x164260ddb1d497c1ULL},
+      {ChaosStack::kQanaatPbft, 3u, 0x7620a64236f3d54cULL},
+      {ChaosStack::kQanaatPbft, 5u, 0xa1a915299c6f13c5ULL},
+      {ChaosStack::kQanaatPbft, 7u, 0x5c26c221eca20e9cULL},
+      {ChaosStack::kQanaatPbft, 12u, 0x28b9236a60eaf8eaULL},
+      {ChaosStack::kQanaatPaxos, 2u, 0x75a5a64a7022e4f2ULL},
+      {ChaosStack::kQanaatPaxos, 3u, 0x328007333b246db1ULL},
+      {ChaosStack::kQanaatPaxos, 5u, 0x912b890acb8758feULL},
+      {ChaosStack::kQanaatPaxos, 7u, 0x1a95131dc7aae49aULL},
+      {ChaosStack::kQanaatPaxos, 12u, 0x730613e007ff6b62ULL},
       {ChaosStack::kFabric, 2u, 0x967a5df6743242b0ULL},
       {ChaosStack::kFabric, 3u, 0x70b03581c3ee88beULL},
       {ChaosStack::kFabric, 5u, 0xebc0767ebf79ecc1ULL},

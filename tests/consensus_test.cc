@@ -187,6 +187,42 @@ TEST(PbftTest, ViewChangeOnUnresponsivePrimary) {
   EXPECT_EQ(f.hosts[3]->delivered.size(), n1);
 }
 
+TEST(PbftTest, ReproposedSlotIsNotSuspectedOnItsOldViewDeadline) {
+  // Slot 3 is armed half a timeout after slot 2, so its old-view deadline
+  // is still pending when slot 2's timeout drives the view change. The
+  // NEW-VIEW re-proposes slot 3 and restarts its deadline at the new
+  // view's (doubled) timeout; with view 1 unable to commit, nobody may
+  // vote for view 2 before that timeout has elapsed.
+  const SimTime kTimeout = 20000;
+  EngineFixture f(true, 4, 1, kTimeout);
+  f.hosts[0]->engine->Propose(f.MakeValue("pre"));
+  f.env.sim.Run(200000);
+  // Pre-prepares reach backup 1 only; its prepares arm the slot on 2, 3.
+  f.net.Partition(f.hosts[0]->id(), f.hosts[2]->id());
+  f.net.Partition(f.hosts[0]->id(), f.hosts[3]->id());
+  f.hosts[0]->engine->Propose(f.MakeValue("slot2"));
+  f.env.sim.Run(200000 + kTimeout / 2);
+  f.hosts[0]->engine->Propose(f.MakeValue("slot3"));
+  f.env.sim.Run(200000 + kTimeout / 2 + 2000);
+  f.hosts[0]->Crash();
+  // Step to the moment backup 1 installs view 1, then crash backup 3
+  // before the re-proposals reach it: view 1 has only 1 and 2 left.
+  while (f.hosts[1]->engine->view() == 0 && f.env.sim.now() < 400000) {
+    f.env.sim.Run(f.env.sim.now() + 50);
+  }
+  ASSERT_EQ(f.hosts[1]->engine->view(), 1u);
+  f.hosts[3]->Crash();
+  const SimTime installed = f.env.sim.now();
+  const uint64_t votes = f.env.metrics.Get("pbft.view_change_started");
+  // The new view's slot timeout doubles (one view change so far).
+  f.env.sim.Run(installed + 2 * kTimeout - 1000);
+  EXPECT_EQ(f.env.metrics.Get("pbft.view_change_started"), votes)
+      << "a replica suspected view 1 on a deadline of view 0";
+  // The restarted deadlines themselves still fire.
+  f.env.sim.Run(installed + 2 * kTimeout + 5000);
+  EXPECT_GT(f.env.metrics.Get("pbft.view_change_started"), votes);
+}
+
 TEST(PbftTest, EquivocatingPrimaryIsReplaced) {
   EngineFixture f(true, 4, 1);
   static_cast<PbftEngine*>(f.hosts[0]->engine.get())->SetEquivocate(true);
@@ -322,6 +358,40 @@ TEST(PaxosTest, LeaderTakeoverAfterCrash) {
   // The orphan is re-driven by the new leader; both live nodes agree.
   ASSERT_EQ(f.hosts[1]->delivered.size(), f.hosts[2]->delivered.size());
   EXPECT_GE(f.hosts[1]->delivered.size(), 2u);
+}
+
+TEST(PaxosTest, RedrivenSlotStartsNoTakeoverFromItsSupersededTimeout) {
+  // Five nodes (quorum 3). The leader's accepts for slots 2 and 3 reach
+  // node 1 only, half a timeout apart. Slot 2's timeout makes node 1
+  // take over; its phase-1 re-drives slot 3 and restarts slot 3's
+  // deadline. The re-drive cannot finish (the other nodes crash), and
+  // slot 3's superseded deadline must not start a second takeover.
+  const SimTime kTimeout = 20000;
+  EngineFixture f(false, 5, 2, kTimeout);
+  auto* node1 = static_cast<PaxosEngine*>(f.hosts[1]->engine.get());
+  f.hosts[0]->engine->Propose(f.MakeValue("pre"));
+  f.env.sim.Run(100000);
+  for (int i = 2; i < 5; ++i) {
+    f.net.Partition(f.hosts[0]->id(), f.hosts[i]->id());
+  }
+  f.hosts[0]->engine->Propose(f.MakeValue("slot2"));
+  f.env.sim.Run(100000 + kTimeout / 2);
+  f.hosts[0]->engine->Propose(f.MakeValue("slot3"));
+  f.env.sim.Run(100000 + kTimeout / 2 + 2000);
+  f.hosts[0]->Crash();
+  while (!node1->leading() && f.env.sim.now() < 300000) {
+    f.env.sim.Run(f.env.sim.now() + 50);
+  }
+  ASSERT_TRUE(node1->leading());
+  for (int i = 2; i < 5; ++i) f.hosts[i]->Crash();
+  const SimTime led = f.env.sim.now();
+  const uint64_t takeovers = f.env.metrics.Get("paxos.leader_takeover");
+  f.env.sim.Run(led + kTimeout - 1000);
+  EXPECT_EQ(f.env.metrics.Get("paxos.leader_takeover"), takeovers)
+      << "a superseded slot timeout started a second takeover";
+  // The re-driven slots' own deadlines still fire.
+  f.env.sim.Run(led + kTimeout + 5000);
+  EXPECT_GT(f.env.metrics.Get("paxos.leader_takeover"), takeovers);
 }
 
 TEST(PaxosTest, FZeroSingleNodeDecidesImmediately) {

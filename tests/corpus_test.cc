@@ -21,10 +21,11 @@ namespace {
 TEST(CorpusShard, PartitionIsCompleteAndDisjoint) {
   CorpusManifest m;
   auto entries = m.Enumerate();
-  // Rotation entries (3 stacks) plus the cross-conflict profile (the two
-  // Qanaat stacks only).
+  // Rotation entries (3 stacks), the cross-conflict profile (the two
+  // Qanaat stacks only) and the pbft firewall band.
   ASSERT_EQ(entries.size(), static_cast<size_t>(m.seeds) * 3 +
-                                static_cast<size_t>(m.conflict_seeds) * 2);
+                                static_cast<size_t>(m.conflict_seeds) * 2 +
+                                kFirewallSeeds);
 
   for (int shard_count : {1, 2, 4, 7}) {
     size_t assigned = 0;
@@ -53,7 +54,8 @@ TEST(CorpusShard, NoEntryLostOrDuplicated) {
         << "duplicate entry " << StackArgName(e.stack) << " seed " << e.seed;
   }
   EXPECT_EQ(ids.size(), static_cast<size_t>(m.seeds) * 3 +
-                            static_cast<size_t>(m.conflict_seeds) * 2);
+                            static_cast<size_t>(m.conflict_seeds) * 2 +
+                            kFirewallSeeds);
 }
 
 TEST(CorpusShard, StableUnderCorpusGrowth) {
@@ -93,6 +95,33 @@ TEST(CorpusShard, KeyDependsOnIdentityOnly) {
   b = a;
   b.adversary = AdversaryKind::kNone;
   EXPECT_NE(EntryKey(a), EntryKey(b));
+}
+
+TEST(CorpusShard, FirewallBandRunsTheBenignRecipeBehindTheFirewall) {
+  CorpusManifest m;
+  int band = 0;
+  for (const auto& e : m.Enumerate()) {
+    if (e.seed <= kFirewallSeedBase) {
+      EXPECT_FALSE(EntryOptions(e).use_firewall);
+      continue;
+    }
+    ++band;
+    EXPECT_EQ(static_cast<int>(e.stack),
+              static_cast<int>(ChaosStack::kQanaatPbft));
+    EXPECT_EQ(static_cast<int>(e.adversary),
+              static_cast<int>(AdversaryKind::kNone));
+    // Exactly the recipe of seed s, plus the firewall.
+    uint64_t s = e.seed - kFirewallSeedBase;
+    ChaosOptions want = EntryOptions({ChaosStack::kQanaatPbft, s, e.adversary});
+    ChaosOptions got = EntryOptions(e);
+    EXPECT_TRUE(got.use_firewall);
+    EXPECT_EQ(got.seed, s);
+    EXPECT_EQ(static_cast<int>(got.family), static_cast<int>(want.family));
+    EXPECT_EQ(static_cast<int>(got.cross_kind),
+              static_cast<int>(want.cross_kind));
+    EXPECT_EQ(got.profile.loss, want.profile.loss);
+  }
+  EXPECT_EQ(band, kFirewallSeeds);
 }
 
 TEST(CorpusShard, RotationMatchesStackFaultModels) {
@@ -348,23 +377,25 @@ struct AdversaryGolden {
 // Trace hashes pinned when the staged adversaries were introduced. Each
 // run must pass the full corpus criteria AND replay to the exact pinned
 // hash — any scheduling drift in the adversary machinery shows up here
-// the way benign drift shows up in chaos_test's ChaosGolden.
+// the way benign drift shows up in chaos_test's ChaosGolden. The Qanaat
+// pins moved with the one-watchdog-per-module change, for the reasons
+// given at the ChaosGolden pin table; the Fabric pin held.
 TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
   const AdversaryGolden kGolden[] = {
       {ChaosStack::kQanaatPbft, 5, AdversaryKind::kGrayFailure,
-       0xb9cd34fd5bea5f6eULL},
+       0x58238393ad2d174eULL},
       {ChaosStack::kQanaatPbft, 6, AdversaryKind::kEquivocation,
-       0x0cc60606710ff962ULL},
+       0x4c0b2526201ddccaULL},
       // Seed-7 silence pins re-pinned for the §4.3.5 PR: selective
       // silence swallows FPropose/FCommit traffic, so these schedules
       // now exercise the orphan-commit-vote query timer and moved
       // intentionally (see the chaos_test pin-table comment).
       {ChaosStack::kQanaatPbft, 7, AdversaryKind::kSelectiveSilence,
-       0x6b6634f4df300933ULL},
+       0x065ce6ee32246786ULL},
       {ChaosStack::kQanaatPaxos, 5, AdversaryKind::kGrayFailure,
-       0x9ce825a0f5baf256ULL},
+       0x11ad347a177d958eULL},
       {ChaosStack::kQanaatPaxos, 7, AdversaryKind::kSelectiveSilence,
-       0x0f0248c5429e6dd1ULL},
+       0xae386f6fd18f55bbULL},
       {ChaosStack::kFabric, 6, AdversaryKind::kGrayFailure,
        0xebdbb98e6409da29ULL},
       // Cross-conflict profile pins (§4.3.5). pbft/1002 is the seed whose
@@ -372,9 +403,9 @@ TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
       // tail hole in state transfer — its pin guards both the arbitration
       // machinery and that fix.
       {ChaosStack::kQanaatPbft, kConflictSeedBase + 2,
-       AdversaryKind::kCrossConflict, 0x2f86155a7650b304ULL},
+       AdversaryKind::kCrossConflict, 0x3253b0cbf18db1a8ULL},
       {ChaosStack::kQanaatPaxos, kConflictSeedBase + 1,
-       AdversaryKind::kCrossConflict, 0xefe1c990e2c0b7b8ULL},
+       AdversaryKind::kCrossConflict, 0x77877a39d3b6cfd9ULL},
   };
   for (const auto& g : kGolden) {
     CorpusEntry e{g.stack, g.seed, g.adversary};
@@ -391,12 +422,17 @@ TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
 // and filter rows). These schedules exercise wedge-triggered executor
 // pulls, ordering-side state requests, push backups and view-change push
 // replay, so a refactor of either state-transfer side or of the firewall
-// routing that moves any schedule shows up here.
+// routing that moves any schedule shows up here. Re-pinned with the
+// ChaosGolden table. Seeds 1 and 22 failed before that change (an
+// arbitration loser never re-committed; no liveness after heal): a cross
+// deadline died with a crash, so a recovered node never finished an
+// instance it had missed the commit of.
 TEST(CorpusGolden, FirewallTraceHashesMatchPinned) {
   const std::pair<uint64_t, uint64_t> kGolden[] = {
-      {2, 0xf50626d2a5478b7aULL}, {3, 0x53324cefd3f88826ULL},
-      {5, 0x636c9eb5fba82cecULL}, {7, 0x795f50cf4fdd182bULL},
-      {12, 0x1293dc81a566088cULL},
+      {1, 0x2b57d47ebe783d5fULL},  {2, 0xe3cfcb9180863853ULL},
+      {3, 0x83994235cd0e6294ULL},  {5, 0xcf3c1f5458141f11ULL},
+      {7, 0x94f49b79ae4f4befULL},  {12, 0x6f11c192b0d41fb1ULL},
+      {22, 0x97bcd5aec00ec242ULL},
   };
   for (const auto& [seed, hash] : kGolden) {
     ChaosOptions opts =
@@ -405,6 +441,7 @@ TEST(CorpusGolden, FirewallTraceHashesMatchPinned) {
     ChaosReport r = RunChaos(opts);
     EXPECT_TRUE(r.safety.ok()) << "seed " << seed << ": "
                                << r.safety.ToString();
+    EXPECT_TRUE(r.liveness_resumed) << "seed " << seed;
     EXPECT_EQ(r.trace_hash, hash)
         << "firewall seed " << seed << std::hex << " actual 0x"
         << r.trace_hash;

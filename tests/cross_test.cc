@@ -147,6 +147,63 @@ TEST(ArbitrationTest, LateRivalYieldsToCommittedWinner) {
   EXPECT_EQ(winner, 1u) << "a committed claim was unseated by a late rival";
 }
 
+// ------------------------------------- cross deadlines across a crash
+
+TEST(CrossTimeoutTest, RecoveredNodeFinishesInstanceItMissedTheCommitOf) {
+  // A node that crashes while a flattened instance is live on it misses
+  // the instance's commit. Its cross deadline survives the crash, so
+  // after recovery it queries the outcome (§4.3.4) and finishes the
+  // instance instead of keeping it live forever.
+  QanaatSystem::Options so;
+  so.params.num_enterprises = 2;
+  so.params.shards_per_enterprise = 1;
+  so.params.failure_model = FailureModel::kCrash;
+  so.params.family = ProtocolFamily::kFlattened;
+  so.seed = 5;
+  so.cluster_regions = {0, 1};
+  QanaatSystem sys(std::move(so));
+  // WAN latency between the enterprises: the propose reaches cluster 1
+  // about 50ms before any commit can.
+  sys.net().SetRtt(0, 1, 100 * kMillisecond);
+  ClientStub stub(&sys.env());
+
+  auto req = std::make_shared<RequestMsg>();
+  req->tx.client = stub.id();
+  req->tx.client_ts = 1;
+  req->tx.collection = CollectionId(EnterpriseSet{0, 1});
+  req->tx.shards = {0};
+  req->tx.initiator = 0;
+  req->tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+  req->tx.client_sig = sys.env().keystore.Sign(stub.id(), req->tx.Digest());
+  sys.env().sim.ScheduleAt(10 * kMillisecond, [&]() {
+    sys.net().Send(stub.id(), sys.directory().Cluster(0).InitialPrimary(),
+                   req);
+  });
+  OrderingNode* victim = sys.ordering_node(1, 2);  // a backup
+  size_t live_at_crash = 0;
+  sys.env().sim.ScheduleAt(90 * kMillisecond, [&]() {
+    live_at_crash = victim->live_cross_instances();
+    victim->Crash();
+  });
+  sys.env().sim.ScheduleAt(1000 * kMillisecond,
+                           [&]() { victim->Recover(); });
+  sys.env().sim.Run(3 * kSecond);
+
+  ASSERT_EQ(live_at_crash, 1u) << "the instance was not live at the crash";
+  EXPECT_GT(sys.env().metrics.Get("cross.query_answered"), 0u);
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(sys.ordering_node(c, i)->live_cross_instances(), 0u)
+          << "cluster " << c << " node " << i;
+    }
+  }
+  // The victim's chains equal its peers': convergence is audited with an
+  // empty exclusion set.
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(sys, true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 // ----------------------------- pull-based executor state transfer
 
 SystemParams FirewallParams() {

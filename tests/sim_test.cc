@@ -2,6 +2,7 @@
 
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "sim/watchdog.h"
 
 namespace qanaat {
 namespace {
@@ -389,6 +390,84 @@ TEST(ActorEpochTest, ProcessingInterruptedByCrashNeverCompletes) {
   f.env.sim.Schedule(350, [&] { b.Recover(); });
   f.env.sim.RunAll();
   EXPECT_EQ(b.received, 0);
+}
+
+// ----------------------------------------------------------- watchdog
+
+/// Actor watching one deadline the way every protocol module watches its
+/// own: the watchdog starts host timers, OnTimer filters them, acts on an
+/// expired deadline and re-arms for one still ahead.
+class WatchdogActor : public Actor {
+ public:
+  static constexpr uint64_t kTag = 9;
+  explicit WatchdogActor(Env* env)
+      : Actor(env, "watchdog"),
+        dog(&env->sim, kTag, [this](SimTime d, uint64_t tag, uint64_t p) {
+          StartTimer(d, tag, p);
+        }) {}
+  void OnMessage(NodeId, const MessageRef&) override {}
+  void OnTimer(uint64_t tag, uint64_t payload) override {
+    if (tag != kTag || !dog.Fire(payload)) {
+      ++ignored;
+      return;
+    }
+    if (deadline > now()) {
+      dog.ArmBy(deadline);
+      return;
+    }
+    deadline = kNoDeadline;
+    acted_at.push_back(now());
+  }
+  void Watch(SimTime at) {
+    deadline = at;
+    dog.ArmBy(at);
+  }
+  Watchdog dog;
+  SimTime deadline = kNoDeadline;
+  std::vector<SimTime> acted_at;
+  int ignored = 0;
+};
+
+TEST(WatchdogTest, EarlierDeadlineSupersedesAndLaterOneIsKept) {
+  NetFixture f;
+  WatchdogActor a(&f.env);
+  a.dog.ArmBy(300);
+  a.Watch(100);      // earlier: re-arms earlier, superseding the 300 timer
+  a.dog.ArmBy(200);  // later than the armed timer: nothing new is armed
+  a.dog.ArmBy(kNoDeadline);
+  f.env.sim.RunAll();
+  EXPECT_EQ(a.acted_at, (std::vector<SimTime>{100}));
+  // The superseded firing at 300 reached OnTimer and was ignored.
+  EXPECT_EQ(a.ignored, 1);
+  EXPECT_FALSE(a.dog.armed());
+}
+
+TEST(WatchdogTest, CrashLeavesNothingArmedAndRecoveryRearms) {
+  NetFixture f;
+  WatchdogActor a(&f.env);
+  a.Watch(100);
+  f.env.sim.Schedule(50, [&] { a.Crash(); });
+  f.env.sim.Run(500);
+  // The armed timer died with the crash epoch: nothing fired, even past
+  // the deadline, and nothing reached OnTimer to be ignored either.
+  EXPECT_TRUE(a.acted_at.empty());
+  EXPECT_EQ(a.ignored, 0);
+  // The deadline survived the crash. It lapsed during the downtime, so it
+  // acts at the re-arm point, not at once.
+  a.Recover();
+  a.dog.Rearm(550);
+  f.env.sim.RunAll();
+  EXPECT_EQ(a.acted_at, (std::vector<SimTime>{550}));
+  // A deadline still ahead at the re-arm point acts at the deadline.
+  a.Watch(900);
+  f.env.sim.Schedule(100, [&] { a.Crash(); });  // t = 650
+  f.env.sim.Schedule(150, [&] {                  // t = 700
+    a.Recover();
+    a.dog.Rearm(750);
+  });
+  f.env.sim.RunAll();
+  EXPECT_EQ(a.acted_at, (std::vector<SimTime>{550, 900}));
+  EXPECT_EQ(a.ignored, 0);
 }
 
 // -------------------------------------- fault randomness determinism

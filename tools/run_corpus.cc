@@ -203,7 +203,8 @@ int RunShard(const Args& a) {
     }
     std::fprintf(stderr, "shard %d/%d: %zu of %d entries\n", a.shard_index,
                  a.shard_count, mine.size(),
-                 manifest.seeds * 3 + manifest.conflict_seeds * 2);
+                 manifest.seeds * 3 + manifest.conflict_seeds * 2 +
+                     kFirewallSeeds);
     return 0;
   }
 
