@@ -12,9 +12,11 @@
 //  * wheel_storm — self-rearming timers over protocol-shaped delays
 //    (sub-slot watchdogs to multi-second retries, with occasional
 //    far-future spills to the heap): the hierarchical-wheel path.
-//  * fig7_e2e — the bench_simcore fig7-style run at three cluster
-//    scales (2x2, 4x4, 8x4 enterprises x shards) at a fixed per-cluster
-//    offered load.
+//  * e2e — the fig7-style run (Crd-B, 10% intra-shard cross-enterprise,
+//    seed 1) at three cluster scales (2x2, 4x4, 8x4 enterprises x
+//    shards) at a fixed per-cluster offered load. The 4x4 point (30k tps
+//    from 16 client machines) is the repo's one fig7-style end-to-end
+//    wall-clock measurement.
 //
 // Every record prints as a bench JSON line and the set is written to
 // BENCH_protocol.json (override with a path argument). --quick runs one
@@ -191,9 +193,8 @@ struct E2eResult {
   double sim_time_ratio = 0;
 };
 
-/// The bench_simcore fig7-style configuration at a given scale, with the
-/// per-cluster offered load held constant (1875 tps per cluster — the
-/// 30k/16 of the committed fig7_e2e point).
+/// The fig7-style configuration at a given scale, with the per-cluster
+/// offered load held constant (1875 tps per cluster — 30k tps at 4x4).
 E2eResult RunE2e(int enterprises, int shards) {
   QanaatSystem::Options opts;
   opts.params.num_enterprises = enterprises;
@@ -314,7 +315,7 @@ int main(int argc, char** argv) {
     int s;
     int reps;
   };
-  // The 4x4 point is the committed fig7_e2e configuration (best-of-3);
+  // The 4x4 point is the fig7-style end-to-end run (best-of-3);
   // the outer scales bound how the protocol layer behaves as cluster
   // count shrinks and grows, one repetition each.
   const Scale scales[] = {{2, 2, 1}, {4, 4, quick ? 1 : 3}, {8, 4, 1}};

@@ -1,28 +1,26 @@
 // Sim-core throughput baseline: how fast the discrete-event engine itself
-// runs, independent of (and then composed with) the protocol stacks.
+// runs, independent of the protocol stacks.
 //
 //  * raw_message_events — a message ring through Network/Actor with no
 //    protocol logic: measures scheduling + delivery + CPU-model overhead
 //    per event.
 //  * raw_timer_events — a self-rearming timer storm: measures the timer
 //    path of the event core.
-//  * fig7_e2e — wall-clock of a fixed Figure-7-style run (4 enterprises x
-//    4 shards, Byzantine/coordinator, 10% intra-shard cross-enterprise
-//    transactions at a fixed offered load): the end-to-end number the
-//    ≥2x sim-core speedup target is judged on.
+//
+// The fig7-style end-to-end run is measured once, by bench_protocol's
+// `e2e` series (its 4x4 point).
 //
 // Every record is printed as a bench JSON line on stdout and the whole
 // set is written to BENCH_simcore.json (override with argv[1]) so CI can
 // archive the perf trajectory run over run.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "qanaat/system.h"
 #include "sim/network.h"
 
 namespace qanaat {
@@ -133,57 +131,6 @@ RawResult BestOf(int n, Fn fn) {
   return best;
 }
 
-struct E2eResult {
-  double offered_tps = 0;
-  double measured_tps = 0;
-  double avg_lat_ms = 0;
-  uint64_t events = 0;
-  double wall_s = 0;
-  double events_per_sec = 0;
-  /// Simulated seconds per wall second — the corpus-capacity meter.
-  double sim_time_ratio = 0;
-};
-
-/// The fixed Figure-7-style configuration: this must stay byte-stable
-/// across PRs so BENCH_simcore.json entries are comparable run over run.
-E2eResult RunFig7Style() {
-  QanaatSystem::Options opts;
-  opts.params.num_enterprises = 4;
-  opts.params.shards_per_enterprise = 4;
-  opts.params.failure_model = FailureModel::kByzantine;
-  opts.params.family = ProtocolFamily::kCoordinator;
-  opts.seed = 1;
-  QanaatSystem sys(std::move(opts));
-
-  WorkloadParams wl;
-  wl.cross_kind = CrossKind::kIntraShardCrossEnterprise;
-  wl.cross_fraction = 0.1;
-
-  const double offered = 30000;
-  const int machines = 16;
-  const SimTime duration = BenchDuration();
-  const SimTime warmup = BenchWarmup();
-  SimTime measure_from = warmup;
-  SimTime measure_to = duration - warmup / 3;
-  for (int i = 0; i < machines; ++i) {
-    ClientMachine* c = sys.AddClient(wl, offered / machines);
-    c->Start(0, duration, measure_from, measure_to);
-  }
-
-  auto t0 = std::chrono::steady_clock::now();
-  E2eResult r;
-  SimTime run_until = duration + 500 * kMillisecond;
-  r.events = sys.env().sim.Run(run_until);
-  r.wall_s = WallSince(t0);
-  r.offered_tps = offered;
-  double window_s = static_cast<double>(measure_to - measure_from) / kSecond;
-  r.measured_tps = static_cast<double>(sys.TotalMeasuredCommits()) / window_s;
-  r.avg_lat_ms = sys.MergedLatencies().Mean() / 1000.0;
-  r.events_per_sec = static_cast<double>(r.events) / r.wall_s;
-  r.sim_time_ratio = (static_cast<double>(run_until) / kSecond) / r.wall_s;
-  return r;
-}
-
 }  // namespace
 }  // namespace bench
 }  // namespace qanaat
@@ -211,8 +158,8 @@ int main(int argc, char** argv) {
   const int reps = quick ? 1 : 3;
   const char* mode = quick ? "quick" : fast ? "fast" : "full";
 
-  std::printf("bench_simcore — sim-core event throughput + fig7-style "
-              "wall-clock (%s mode)\n\n", mode);
+  std::printf("bench_simcore — sim-core event throughput (%s mode)\n\n",
+              mode);
 
   RawResult ring = BestOf(reps, [&] { return RunMessageRing(ring_hops); });
   std::printf("message ring : %9llu events in %6.3fs  -> %10.0f events/s\n",
@@ -225,19 +172,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(timers.events), timers.wall_s,
               timers.events_per_sec);
 
-  // Best-of-n like the raw parts: the simulated work is identical per
-  // repetition, so the minimum wall clock is the least-noisy estimate on
-  // a shared machine.
-  E2eResult e2e = RunFig7Style();
-  for (int i = 1; i < reps; ++i) {
-    E2eResult r = RunFig7Style();
-    if (r.wall_s < e2e.wall_s) e2e = r;
-  }
-  std::printf("fig7-style   : %9llu events in %6.3fs  -> %10.0f events/s, "
-              "%0.0f tps (avg lat %.2f ms), sim/wall %.2fx\n\n",
-              static_cast<unsigned long long>(e2e.events), e2e.wall_s,
-              e2e.events_per_sec, e2e.measured_tps, e2e.avg_lat_ms,
-              e2e.sim_time_ratio);
+  std::printf("\n");
 
   char buf[2048];
   int n = std::snprintf(
@@ -246,19 +181,13 @@ int main(int argc, char** argv) {
       "  {\"metric\":\"raw_message_events\",\"events\":%llu,"
       "\"wall_s\":%.4f,\"events_per_sec\":%.0f},\n"
       "  {\"metric\":\"raw_timer_events\",\"events\":%llu,"
-      "\"wall_s\":%.4f,\"events_per_sec\":%.0f},\n"
-      "  {\"metric\":\"fig7_e2e\",\"offered_tps\":%.0f,\"tput_tps\":%.0f,"
-      "\"avg_lat_ms\":%.2f,\"events\":%llu,\"wall_s\":%.4f,"
-      "\"events_per_sec\":%.0f,\"sim_time_ratio\":%.3f}\n"
+      "\"wall_s\":%.4f,\"events_per_sec\":%.0f}\n"
       "]}\n",
       mode,
       static_cast<unsigned long long>(ring.events), ring.wall_s,
       ring.events_per_sec,
       static_cast<unsigned long long>(timers.events), timers.wall_s,
-      timers.events_per_sec,
-      e2e.offered_tps, e2e.measured_tps, e2e.avg_lat_ms,
-      static_cast<unsigned long long>(e2e.events), e2e.wall_s,
-      e2e.events_per_sec, e2e.sim_time_ratio);
+      timers.events_per_sec);
   std::fputs(buf, stdout);
 
   if (std::FILE* f = std::fopen(path, "w")) {

@@ -7,6 +7,8 @@
 //   commit    — with prepared evidence from every involved cluster, the
 //               coordinator runs internal consensus on the decision and
 //               multicasts COMMIT; every cluster appends and executes.
+// The instance's start, fan-out and completion are the shared skeleton
+// in ordering_node.cc; this file holds only the rounds above.
 
 #include <algorithm>
 
@@ -14,65 +16,58 @@
 
 namespace qanaat {
 
-void OrderingNode::StartCoordinated(const BlockPtr& block) {
-  const Transaction& probe = block->txs.front();
-  int coord = CoordinatorClusterOf(probe.collection, probe.shards);
-  if (coord != cfg_.cluster_id) {
-    // We received requests for a flow another cluster coordinates (only
-    // possible in non-designated mode); hand the whole batch over.
-    for (const auto& tx : block->txs) {
-      auto req = std::make_shared<RequestMsg>();
-      req->tx = tx;
-      req->wire_bytes = 64 + tx.WireSize();
-      Send(dir_->Cluster(coord).InitialPrimary(), req);
-    }
-    return;
-  }
-
-  // Concurrency control (§4.3.2): defer blocks that intersect an active
-  // cross-shard transaction in >= 2 shards.
-  if (probe.shards.size() > 1) {
-    if (HasCrossShardConflict(block, probe.shards)) {
-      deferred_cross_.push_back(DeferredCross{block});
-      PinCross(block);
-      env()->metrics.Inc("cross.deferred_conflict");
-      return;
-    }
-    active_cross_[block->Digest()] = probe.shards;
-  }
-
-  XState& xs = StateFor(block->Digest());
-  xs.block = block;
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
-  xs.i_coordinate = true;
-  if (!xs.pinned) {
-    xs.pinned = true;
-    PinCross(block);
-  }
-  xs.assignments[block->id.alpha.shard] =
-      ShardAssignment{cfg_.cluster_id, block->id.alpha, block->id.gamma};
-  own_pending_.insert({ShardRef{block->id.alpha.collection,
-                                block->id.alpha.shard},
-                       block->id.alpha.n});
-
+void OrderingNode::OpenCoordinated(XState& xs) {
+  // Prepare phase, first step: the coordinator cluster internally orders
+  // the block under its own assignment.
   ConsensusValue v;
   v.kind = ConsensusValue::Kind::kXOrder;
-  v.block = block;
+  v.block = xs.block;
   v.block_digest = xs.digest;
-  v.assignments = {xs.assignments[block->id.alpha.shard]};
+  v.assignments = {xs.assignments[xs.block->id.alpha.shard]};
   engine_->Propose(v);
   ArmCrossTimer(xs.digest);
 }
 
+void OrderingNode::SendXPrepare(const XState& xs) {
+  auto prep = std::make_shared<XPrepareMsg>();
+  prep->coord_cluster = cfg_.cluster_id;
+  prep->block = xs.block;
+  prep->block_digest = xs.digest;
+  prep->coord_cert = xs.order_cert;
+  prep->wire_bytes = 160 + xs.block->WireSize() + prep->coord_cert.WireSize();
+  prep->sig_verify_ops = static_cast<uint16_t>(prep->coord_cert.sigs.size());
+  MulticastToOtherClusters(xs, prep);
+}
+
+std::shared_ptr<XPreparedMsg> OrderingNode::MakeClusterPrepared(
+    const XState& xs, const ShardAssignment* assignment) const {
+  auto pd = std::make_shared<XPreparedMsg>();
+  pd->from_cluster = cfg_.cluster_id;
+  pd->block_digest = xs.digest;
+  if (assignment != nullptr) {
+    pd->has_assignment = true;
+    pd->assignment = *assignment;
+  }
+  pd->is_cluster_cert = true;
+  pd->cluster_cert = xs.order_cert;
+  pd->wire_bytes = 160 + pd->cluster_cert.WireSize();
+  pd->sig_verify_ops = static_cast<uint16_t>(pd->cluster_cert.sigs.size());
+  return pd;
+}
+
+std::shared_ptr<XPreparedMsg> OrderingNode::MakeNodePrepared(
+    const Sha256Digest& d, bool abort) const {
+  auto pd = std::make_shared<XPreparedMsg>();
+  pd->from_cluster = cfg_.cluster_id;
+  pd->block_digest = d;
+  pd->abort = abort;
+  pd->sig = env()->keystore.Sign(id(), d);
+  return pd;
+}
+
 void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
   XState& xs = StateFor(v.block_digest);
-  xs.block = v.block;
-  const Transaction& probe = v.block->txs.front();
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
+  AdoptBlock(xs, v.block);
   for (const auto& a : v.assignments) {
     xs.assignments[a.alpha.shard] = a;
     if (a.cluster == cfg_.cluster_id) {
@@ -80,30 +75,20 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
           {ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n});
     }
   }
+  const Transaction& probe = v.block->txs.front();
   int coord = CoordinatorClusterOf(probe.collection, probe.shards);
   xs.i_coordinate = (coord == cfg_.cluster_id);
+  xs.order_cert =
+      MakeCert(slot, v.block_digest, ConsensusValue::Kind::kXOrder);
+  xs.order_cert_known = true;
 
   if (xs.i_coordinate) {
     // Phase 1 done: the coordinator cluster agreed on the order. The
     // primary sends PREPARE (signed by local-majority: the commit
     // certificate of the internal consensus) to all involved clusters.
     xs.prepared_clusters.insert(cfg_.cluster_id);
-    xs.order_cert = MakeCert(slot, v.block_digest,
-                             ConsensusValue::Kind::kXOrder);
-    xs.order_cert_known = true;
     if (!engine_->IsPrimary()) return;
-    auto prep = std::make_shared<XPrepareMsg>();
-    prep->coord_cluster = cfg_.cluster_id;
-    prep->block = v.block;
-    prep->block_digest = v.block_digest;
-    prep->coord_cert = xs.order_cert;
-    prep->wire_bytes = 160 + v.block->WireSize() + prep->coord_cert.WireSize();
-    prep->sig_verify_ops =
-        static_cast<uint16_t>(prep->coord_cert.sigs.size());
-    for (int c : xs.involved) {
-      if (c == cfg_.cluster_id) continue;
-      Multicast(dir_->Cluster(c).ordering, prep);
-    }
+    SendXPrepare(xs);
     MaybeStartCommitPhase(xs);  // single-cluster edge case
     return;
   }
@@ -113,21 +98,9 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
   // the locally assigned ID to the coordinator cluster, and — for
   // cross-shard cross-enterprise transactions — to every cluster that
   // maintains the same data shard as us (§4.3.3).
-  xs.order_cert =
-      MakeCert(slot, v.block_digest, ConsensusValue::Kind::kXOrder);
-  xs.order_cert_known = true;
   if (!engine_->IsPrimary()) return;
-  auto pd = std::make_shared<XPreparedMsg>();
-  pd->from_cluster = cfg_.cluster_id;
-  pd->block_digest = v.block_digest;
-  if (!v.assignments.empty()) {
-    pd->has_assignment = true;
-    pd->assignment = v.assignments.front();
-  }
-  pd->is_cluster_cert = true;
-  pd->cluster_cert = xs.order_cert;
-  pd->wire_bytes = 160 + pd->cluster_cert.WireSize();
-  pd->sig_verify_ops = static_cast<uint16_t>(pd->cluster_cert.sigs.size());
+  auto pd = MakeClusterPrepared(
+      xs, v.assignments.empty() ? nullptr : &v.assignments.front());
   Multicast(dir_->Cluster(coord).ordering, pd);
   if (xs.is_cross_enterprise && xs.is_cross_shard) {
     for (int c : xs.involved) {
@@ -140,7 +113,7 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
   ArmCrossTimer(v.block_digest);
 }
 
-void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
+void OrderingNode::HandleXPrepare(NodeId /*from*/, const XPrepareMsg& m) {
   const ClusterConfig& coord = dir_->Cluster(m.coord_cluster);
   // Validate provenance: a cluster-signed message from the coordinator.
   if (m.coord_cert.block_digest != m.block_digest ||
@@ -150,14 +123,10 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
     env()->metrics.Inc("cross.bad_prepare");
     return;
   }
-  (void)from;
   XState& xs = StateFor(m.block_digest);
   if (xs.done) return;
-  xs.block = m.block;
+  AdoptBlock(xs, m.block);
   const Transaction& probe = m.block->txs.front();
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
   xs.assignments[m.block->id.alpha.shard] = ShardAssignment{
       m.coord_cluster, m.block->id.alpha, m.block->id.gamma};
   ArmCrossTimer(m.block_digest);
@@ -170,12 +139,8 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
     const LocalPart& alpha = m.block->id.alpha;
     ShardRef ref{alpha.collection, alpha.shard};
     auto nack = [&]() {
-      auto msg = std::make_shared<XPreparedMsg>();
-      msg->from_cluster = cfg_.cluster_id;
-      msg->block_digest = m.block_digest;
-      msg->abort = true;
-      msg->sig = env()->keystore.Sign(id(), m.block_digest);
-      Send(coord.InitialPrimary(), msg);
+      Send(coord.InitialPrimary(),
+           MakeNodePrepared(m.block_digest, /*abort=*/true));
     };
     if (own_pending_.count({ref, alpha.n})) {
       // Our own cluster has an uncommitted block claiming this sequence
@@ -202,11 +167,8 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
     } else {
       validated_digest_[{ref, alpha.n}] = m.block_digest;
     }
-    auto pd = std::make_shared<XPreparedMsg>();
-    pd->from_cluster = cfg_.cluster_id;
-    pd->block_digest = m.block_digest;
-    pd->sig = env()->keystore.Sign(id(), m.block_digest);
-    Send(coord.InitialPrimary(), pd);
+    Send(coord.InitialPrimary(),
+         MakeNodePrepared(m.block_digest, /*abort=*/false));
     return;
   }
 
@@ -221,17 +183,7 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
     auto mine = xs.assignments.find(cfg_.shard);
     if (xs.order_cert_known && mine != xs.assignments.end() &&
         mine->second.cluster == cfg_.cluster_id) {
-      auto pd = std::make_shared<XPreparedMsg>();
-      pd->from_cluster = cfg_.cluster_id;
-      pd->block_digest = m.block_digest;
-      pd->has_assignment = true;
-      pd->assignment = mine->second;
-      pd->is_cluster_cert = true;
-      pd->cluster_cert = xs.order_cert;
-      pd->wire_bytes = 160 + pd->cluster_cert.WireSize();
-      pd->sig_verify_ops =
-          static_cast<uint16_t>(pd->cluster_cert.sigs.size());
-      Multicast(coord.ordering, pd);
+      Multicast(coord.ordering, MakeClusterPrepared(xs, &mine->second));
     }
     return;
   }
@@ -270,7 +222,7 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
       xs.prepared_clusters.clear();  // force abort path
     }
     xs.prepared_clusters.insert(m.from_cluster);
-    xs.prepared_votes[m.from_cluster].insert(from);
+    xs.prepared_votes[m.from_cluster].Insert(from);
 
     // Cross-shard cross-enterprise: a non-initiator cluster that shares
     // the sender's shard validates the assignment and reports its own
@@ -279,11 +231,8 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
         sender.shard == cfg_.shard && sender.enterprise != cfg_.enterprise) {
       int coord = CoordinatorClusterOf(xs.block->txs.front().collection,
                                        AllShards(xs));
-      auto pd = std::make_shared<XPreparedMsg>();
-      pd->from_cluster = cfg_.cluster_id;
-      pd->block_digest = m.block_digest;
-      pd->sig = env()->keystore.Sign(id(), m.block_digest);
-      Send(dir_->Cluster(coord).InitialPrimary(), pd);
+      Send(dir_->Cluster(coord).InitialPrimary(),
+           MakeNodePrepared(m.block_digest, /*abort=*/false));
     }
   } else {
     // An individual validation (or abort) vote.
@@ -294,7 +243,7 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
     }
     if (m.abort) {
       auto& nacks = xs.abort_votes[m.from_cluster];
-      nacks.insert(from);
+      nacks.Insert(from);
       // f+1 abort votes guarantee one correct node rejected the ID.
       if (xs.i_coordinate && !xs.abort_started && !xs.commit_started &&
           nacks.size() >= static_cast<size_t>(dir_->params.f) + 1 &&
@@ -309,7 +258,7 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
       return;
     }
     auto& votes = xs.prepared_votes[m.from_cluster];
-    votes.insert(from);
+    votes.Insert(from);
     if (votes.size() >= dir_->params.LocalMajority()) {
       xs.prepared_clusters.insert(m.from_cluster);
     }
@@ -324,15 +273,12 @@ void OrderingNode::MaybeStartCommitPhase(XState& xs) {
   }
   if (!engine_->IsPrimary()) return;
   // Every involved cluster must have prepared (the coordinator cluster
-  // itself prepared when its internal consensus decided).
+  // itself prepared when its internal consensus decided), and every
+  // shard must have an assignment.
   for (int c : xs.involved) {
     if (!xs.prepared_clusters.count(c)) return;
   }
-  // All shards must have an assignment.
-  const Transaction& probe = xs.block->txs.front();
-  for (ShardId s : probe.shards) {
-    if (!xs.assignments.count(s)) return;
-  }
+  if (!AllShardsAssigned(xs)) return;
   xs.commit_started = true;
 
   ConsensusValue v;
@@ -381,21 +327,9 @@ void OrderingNode::OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
     cm->sig_verify_ops = static_cast<uint16_t>(
         cm->coord_cert.sigs.size() + evidence);
     if (is_abort) cm->type = MsgType::kXAbort;
-    for (int c : xs.involved) {
-      if (c == cfg_.cluster_id) continue;
-      Multicast(dir_->Cluster(c).ordering, cm);
-    }
+    MulticastToOtherClusters(xs, cm);
   }
-
-  RecordOutcome(xs, cert, is_abort);
-  if (!is_abort) {
-    auto it = xs.assignments.find(cfg_.shard);
-    if (it != xs.assignments.end()) {
-      CommitBlock(xs.block, cert, it->second.alpha, it->second.gamma,
-                  /*reply_from_here=*/true);
-    }
-  }
-  FinishCross(xs, !is_abort);
+  CompleteCross(xs, cert, is_abort, /*reply_from_here=*/true);
 }
 
 void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
@@ -422,20 +356,12 @@ void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
         validated_digest_.erase(claim);
       }
     }
-    RecordOutcome(xs, m.coord_cert, true);
-    FinishCross(xs, false);
-    return;
+  } else {
+    for (const auto& a : m.assignments) {
+      xs.assignments[a.alpha.shard] = a;
+    }
   }
-  for (const auto& a : m.assignments) {
-    xs.assignments[a.alpha.shard] = a;
-  }
-  RecordOutcome(xs, m.coord_cert, false);
-  auto it = xs.assignments.find(cfg_.shard);
-  if (it != xs.assignments.end()) {
-    CommitBlock(m.block, m.coord_cert, it->second.alpha, it->second.gamma,
-                /*reply_from_here=*/false);
-  }
-  FinishCross(xs, true);
+  CompleteCross(xs, m.coord_cert, m.is_abort, /*reply_from_here=*/false);
 }
 
 }  // namespace qanaat

@@ -5,6 +5,8 @@
 // COMMIT, and a node commits on matching votes from a local-majority of
 // every involved cluster. Crash-only cross-shard intra-enterprise
 // transactions use the cheaper centralized fast path of §4.4.2.
+// The instance's start, fan-out and completion are the shared skeleton
+// in ordering_node.cc; this file holds only the rounds above.
 
 #include <algorithm>
 
@@ -18,6 +20,17 @@ Sha256Digest AcceptSignable(const Sha256Digest& d) {
   // ledger/block.h for why this does not need an inner SHA-256.
   return DeriveDigest(0x46414343u /* "FACC" */, 0xFA, 0, d);
 }
+
+// Flattened commits carry no consensus proof: the certificate is the
+// commit signatures themselves.
+CommitCertificate DirectCert(const Sha256Digest& d,
+                             std::vector<Signature> sigs) {
+  CommitCertificate cert;
+  cert.block_digest = d;
+  cert.direct = true;
+  cert.sigs = std::move(sigs);
+  return cert;
+}
 }  // namespace
 
 bool OrderingNode::FlattenedCftFastPath(const XState& xs) const {
@@ -25,81 +38,60 @@ bool OrderingNode::FlattenedCftFastPath(const XState& xs) const {
          !xs.is_cross_enterprise && xs.is_cross_shard;
 }
 
-void OrderingNode::StartFlattened(const BlockPtr& block) {
-  const Transaction& probe = block->txs.front();
-  int initiator = CoordinatorClusterOf(probe.collection, probe.shards);
-  if (initiator != cfg_.cluster_id) {
-    for (const auto& tx : block->txs) {
-      auto req = std::make_shared<RequestMsg>();
-      req->tx = tx;
-      req->wire_bytes = 64 + tx.WireSize();
-      Send(dir_->Cluster(initiator).InitialPrimary(), req);
-    }
-    return;
-  }
-
-  // Concurrency rule (§4.4.2): no concurrent uncommitted request sharing
-  // >= 2 shards.
-  if (probe.shards.size() > 1) {
-    if (HasCrossShardConflict(block, probe.shards)) {
-      deferred_cross_.push_back(DeferredCross{block});
-      PinCross(block);
-      env()->metrics.Inc("cross.deferred_conflict");
-      return;
-    }
-    active_cross_[block->Digest()] = probe.shards;
-  }
-
-  XState& xs = StateFor(block->Digest());
-  xs.block = block;
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
-  xs.i_coordinate = true;
-  if (!xs.pinned) {
-    xs.pinned = true;
-    PinCross(block);
-  }
-  xs.assignments[block->id.alpha.shard] =
-      ShardAssignment{cfg_.cluster_id, block->id.alpha, block->id.gamma};
-  own_pending_.insert({ShardRef{block->id.alpha.collection,
-                                block->id.alpha.shard},
-                       block->id.alpha.n});
-
-  auto prop = std::make_shared<FProposeMsg>();
-  prop->initiator_cluster = cfg_.cluster_id;
-  prop->block = block;
-  prop->block_digest = xs.digest;
-  prop->sig = env()->keystore.Sign(id(), xs.digest);
-  prop->wire_bytes = 128 + block->WireSize();
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, prop);
-    }
-  }
+void OrderingNode::OpenFlattened(XState& xs) {
+  SendFPropose(xs);
   ArmCrossTimer(xs.digest);
   SendFAccept(xs);
 }
 
+void OrderingNode::SendFPropose(const XState& xs) {
+  auto prop = std::make_shared<FProposeMsg>();
+  prop->initiator_cluster = cfg_.cluster_id;
+  prop->block = xs.block;
+  prop->block_digest = xs.digest;
+  prop->sig = env()->keystore.Sign(id(), xs.digest);
+  prop->wire_bytes = 128 + xs.block->WireSize();
+  SendToInvolved(xs, prop);
+}
+
+std::shared_ptr<FAcceptMsg> OrderingNode::MakeFAccept(
+    const XState& xs, const ShardAssignment* announce) const {
+  auto acc = std::make_shared<FAcceptMsg>();
+  acc->from_cluster = cfg_.cluster_id;
+  acc->block_digest = xs.digest;
+  acc->sig = env()->keystore.Sign(id(), AcceptSignable(xs.digest));
+  if (announce != nullptr) {
+    acc->has_assignment = true;
+    acc->assignment = *announce;
+    acc->wire_bytes = 160;
+  }
+  return acc;
+}
+
+std::shared_ptr<FCommitMsg> OrderingNode::MakeFCommit(
+    const XState& xs) const {
+  auto cm = std::make_shared<FCommitMsg>();
+  cm->from_cluster = cfg_.cluster_id;
+  cm->block_digest = xs.digest;
+  cm->sig = env()->keystore.Sign(id(), xs.digest);
+  for (const auto& [shard, a] : xs.assignments) cm->assignments.push_back(a);
+  cm->wire_bytes = 96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
+  return cm;
+}
+
 void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
-  const ClusterConfig& init = dir_->Cluster(m.initiator_cluster);
   // Provenance: signed by a member of the initiator cluster (the primary
   // may have changed; membership is what a remote node can check).
-  if (std::find(init.ordering.begin(), init.ordering.end(), from) ==
-          init.ordering.end() ||
-      m.sig.signer != from ||
-      !env()->keystore.Verify(m.sig, m.block_digest) ||
+  if (!SignedByMember(from, m.initiator_cluster, m.sig, m.block_digest) ||
       m.block->Digest() != m.block_digest) {
     env()->metrics.Inc("cross.bad_propose");
     return;
   }
+  const ClusterConfig& init = dir_->Cluster(m.initiator_cluster);
   XState& xs = StateFor(m.block_digest);
   if (xs.done) return;
-  xs.block = m.block;
+  AdoptBlock(xs, m.block);
   const Transaction& probe = m.block->txs.front();
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
   // Replies to clients come from the initiator cluster — every node of
   // it, so the client can gather f+1 matching results.
   xs.i_coordinate = (m.initiator_cluster == cfg_.cluster_id);
@@ -153,33 +145,18 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
     mine.gamma = CaptureGamma(probe.collection);
     xs.assignments[cfg_.shard] = mine;
 
-    auto acc = std::make_shared<FAcceptMsg>();
-    acc->from_cluster = cfg_.cluster_id;
-    acc->block_digest = m.block_digest;
-    acc->has_assignment = true;
-    acc->assignment = mine;
-    acc->sig = env()->keystore.Sign(id(), AcceptSignable(m.block_digest));
-    acc->wire_bytes = 160;
+    auto acc = MakeFAccept(xs, &mine);
+    xs.sent_accept = true;
     if (FlattenedCftFastPath(xs)) {
       // Fast path: announce to own cluster nodes; votes go to the whole
       // initiator cluster — leadership may have moved off the initial
       // primary, and a vote sent only there would never be tallied.
-      for (NodeId n : cfg_.ordering) {
-        if (n != id()) Send(n, acc);
-      }
-      for (NodeId n : init.ordering) {
-        if (n != id()) Send(n, acc);
-      }
-      xs.sent_accept = true;
+      SendExceptSelf(cfg_.ordering, acc);
+      SendExceptSelf(init.ordering, acc);
       return;
     }
-    for (int c : xs.involved) {
-      for (NodeId n : dir_->Cluster(c).ordering) {
-        if (n != id()) Send(n, acc);
-      }
-    }
-    xs.sent_accept = true;
-    xs.accepts[cfg_.cluster_id][id()] = acc->sig;
+    SendToInvolved(xs, acc);
+    xs.accepts[cfg_.cluster_id].Put(id(), acc->sig);
     MaybeSendFCommit(xs);
     return;
   }
@@ -188,20 +165,17 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
 
 void OrderingNode::SendFAccept(XState& xs) {
   if (xs.sent_accept || xs.done || xs.block == nullptr) return;
-  const Transaction& probe = xs.block->txs.front();
+  // A node votes once it knows the block and the ⟨α, γ⟩ assignment of
+  // every involved shard. On the fast path (§4.4.2) it endorses its own
+  // shard's order as soon as it knows it; only the initiator primary
+  // assembles the rest.
   if (FlattenedCftFastPath(xs)) {
-    // Fast path (§4.4.2): a node endorses its own shard's order as soon
-    // as it knows it; only the initiator primary assembles the rest.
-    bool involves_us =
-        std::find(probe.shards.begin(), probe.shards.end(), cfg_.shard) !=
-        probe.shards.end();
+    const std::vector<ShardId>& shards = xs.block->txs.front().shards;
+    bool involves_us = std::find(shards.begin(), shards.end(), cfg_.shard) !=
+                       shards.end();
     if (involves_us && !xs.assignments.count(cfg_.shard)) return;
-  } else {
-    // General path: a node votes once it knows the block and the ⟨α, γ⟩
-    // assignment of every involved shard.
-    for (ShardId s : probe.shards) {
-      if (!xs.assignments.count(s)) return;
-    }
+  } else if (!AllShardsAssigned(xs)) {
+    return;
   }
   // Validate the assignment on our own chain before voting: idempotent
   // for the same block, refused for a rival claim to the slot. This
@@ -251,29 +225,20 @@ void OrderingNode::SendFAccept(XState& xs) {
   }
   xs.sent_accept = true;
 
-  auto acc = std::make_shared<FAcceptMsg>();
-  acc->from_cluster = cfg_.cluster_id;
-  acc->block_digest = xs.digest;
-  acc->sig = env()->keystore.Sign(id(), AcceptSignable(xs.digest));
+  auto acc = MakeFAccept(xs, nullptr);
   if (FlattenedCftFastPath(xs)) {
     acc->sig_verify_ops = 0;
     // Vote to every node of the initiator cluster: only its current
     // primary tallies, and that may no longer be the initial one.
-    for (NodeId n : dir_->Cluster(xs.involved.front()).ordering) {
-      if (n != id()) Send(n, acc);
-    }
+    SendExceptSelf(dir_->Cluster(xs.involved.front()).ordering, acc);
     if (engine_->IsPrimary() && xs.i_coordinate) {
-      xs.accepts[cfg_.cluster_id][id()] = acc->sig;
+      xs.accepts[cfg_.cluster_id].Put(id(), acc->sig);
       MaybeSendFCommit(xs);
     }
     return;
   }
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, acc);
-    }
-  }
-  xs.accepts[cfg_.cluster_id][id()] = acc->sig;
+  SendToInvolved(xs, acc);
+  xs.accepts[cfg_.cluster_id].Put(id(), acc->sig);
   MaybeSendFCommit(xs);
 }
 
@@ -282,9 +247,9 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
   // Re-validate the slot claim: if the chain slot has since been won by
   // a different block, re-voting for this one could hand two different
   // blocks a quorum at the same height.
-  auto claimed = xs.assignments.find(cfg_.shard);
-  if (claimed != xs.assignments.end()) {
-    const LocalPart& alpha = claimed->second.alpha;
+  auto mine = xs.assignments.find(cfg_.shard);
+  if (mine != xs.assignments.end()) {
+    const LocalPart& alpha = mine->second.alpha;
     auto claim = validated_digest_.find(
         {ShardRef{alpha.collection, alpha.shard}, alpha.n});
     if (claim == validated_digest_.end() || claim->second != xs.digest) {
@@ -292,52 +257,25 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
       return;
     }
   }
-  auto acc = std::make_shared<FAcceptMsg>();
-  acc->from_cluster = cfg_.cluster_id;
-  acc->block_digest = xs.digest;
-  acc->sig = env()->keystore.Sign(id(), AcceptSignable(xs.digest));
-  auto mine = xs.assignments.find(cfg_.shard);
-  if (mine != xs.assignments.end() &&
-      mine->second.cluster == cfg_.cluster_id && engine_->IsPrimary()) {
-    acc->has_assignment = true;
-    acc->assignment = mine->second;
-    acc->wire_bytes = 160;
-  }
+  // A primary re-announces its own cluster's assignment.
+  bool announce = mine != xs.assignments.end() &&
+                  mine->second.cluster == cfg_.cluster_id &&
+                  engine_->IsPrimary();
+  auto acc = MakeFAccept(xs, announce ? &mine->second : nullptr);
   if (FlattenedCftFastPath(xs)) {
     acc->sig_verify_ops = 0;
-    for (NodeId n : dir_->Cluster(xs.involved.front()).ordering) {
-      if (n != id()) Send(n, acc);
-    }
+    SendExceptSelf(dir_->Cluster(xs.involved.front()).ordering, acc);
     return;
   }
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, acc);
-    }
-  }
-  if (xs.sent_commit) {
-    auto cm = std::make_shared<FCommitMsg>();
-    cm->from_cluster = cfg_.cluster_id;
-    cm->block_digest = xs.digest;
-    cm->sig = env()->keystore.Sign(id(), xs.digest);
-    for (const auto& [s2, a] : xs.assignments) cm->assignments.push_back(a);
-    cm->wire_bytes = 96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
-    for (int c : xs.involved) {
-      for (NodeId n : dir_->Cluster(c).ordering) {
-        if (n != id()) Send(n, cm);
-      }
-    }
-  }
+  SendToInvolved(xs, acc);
+  if (xs.sent_commit) SendToInvolved(xs, MakeFCommit(xs));
 }
 
 void OrderingNode::HandleFAccept(NodeId from, const FAcceptMsg& m) {
   XState& xs = StateFor(m.block_digest);
   if (xs.done) return;
-  const ClusterConfig& sender = dir_->Cluster(m.from_cluster);
-  if (std::find(sender.ordering.begin(), sender.ordering.end(), from) ==
-          sender.ordering.end() ||
-      m.sig.signer != from ||
-      !env()->keystore.Verify(m.sig, AcceptSignable(m.block_digest))) {
+  if (!SignedByMember(from, m.from_cluster, m.sig,
+                      AcceptSignable(m.block_digest))) {
     env()->metrics.Inc("cross.bad_accept");
     return;
   }
@@ -350,7 +288,7 @@ void OrderingNode::HandleFAccept(NodeId from, const FAcceptMsg& m) {
       return;
     }
   }
-  xs.accepts[m.from_cluster][from] = m.sig;
+  xs.accepts[m.from_cluster].Put(from, m.sig);
 
   if (xs.block != nullptr && FlattenedCftFastPath(xs)) {
     SendFAccept(xs);  // vote toward the initiator primary
@@ -365,14 +303,8 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
   if (xs.sent_commit || xs.done || xs.block == nullptr || !xs.sent_accept) {
     return;
   }
-  size_t quorum = dir_->params.LocalMajority();
-  for (int c : xs.involved) {
-    auto it = xs.accepts.find(c);
-    if (it == xs.accepts.end() || it->second.size() < quorum) return;
-  }
-  const Transaction& probe = xs.block->txs.front();
-  for (ShardId s : probe.shards) {
-    if (!xs.assignments.count(s)) return;
+  if (!QuorumFromEveryInvolved(xs, xs.accepts) || !AllShardsAssigned(xs)) {
+    return;
   }
   // §4.3.5 commit-vote guard: a node commit-votes at most one digest per
   // slot. The endorsement may have moved to a lower rival after our
@@ -394,63 +326,36 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
   }
   xs.sent_commit = true;
 
-  auto cm = std::make_shared<FCommitMsg>();
-  cm->from_cluster = cfg_.cluster_id;
-  cm->block_digest = xs.digest;
-  cm->sig = env()->keystore.Sign(id(), xs.digest);
-
+  auto cm = MakeFCommit(xs);
   if (FlattenedCftFastPath(xs)) {
     // §4.4.2 fast path: the initiator primary alone disseminates the
-    // commit instruction, carrying the collected assignments.
+    // commit instruction, carrying the collected assignments, and
+    // commits locally.
     cm->fast_path = true;
     cm->sig_verify_ops = 1;
-    for (const auto& [s, a] : xs.assignments) cm->assignments.push_back(a);
-    cm->wire_bytes =
-        96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
-    for (int c : xs.involved) {
-      for (NodeId n : dir_->Cluster(c).ordering) {
-        if (n != id()) Send(n, cm);
-      }
-    }
-    // Commit locally.
-    CommitCertificate cert;
-    cert.block_digest = xs.digest;
-    cert.direct = true;
-    cert.sigs.push_back(cm->sig);
-    RecordOutcome(xs, cert, false);
-    auto mine = xs.assignments.find(cfg_.shard);
-    if (mine != xs.assignments.end()) {
-      CommitBlock(xs.block, cert, mine->second.alpha, mine->second.gamma,
+    SendToInvolved(xs, cm);
+    CompleteCross(xs, DirectCert(xs.digest, {cm->sig}), /*abort=*/false,
                   /*reply_from_here=*/true);
-    }
-    FinishCross(xs, true);
     return;
   }
-
-  for (const auto& [s2, a] : xs.assignments) cm->assignments.push_back(a);
-  cm->wire_bytes = 96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, cm);
-    }
-  }
-  xs.commit_votes[cfg_.cluster_id][id()] = cm->sig;
-  for (const auto& [s2, a] : xs.assignments) {
-    auto& slot = xs.assignment_votes[a.alpha.shard][a.alpha.n];
-    slot.first = a;
-    slot.second.insert(id());
-  }
+  SendToInvolved(xs, cm);
+  TallyFCommit(xs, id(), *cm);
   MaybeFCommitDone(xs);
+}
+
+void OrderingNode::TallyFCommit(XState& xs, NodeId from, const FCommitMsg& m) {
+  xs.commit_votes[m.from_cluster].Put(from, m.sig);
+  for (const auto& a : m.assignments) {
+    auto& variant = xs.assignment_votes[a.alpha.shard][a.alpha.n];
+    variant.first = a;
+    variant.second.Insert(from);
+  }
 }
 
 void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
   XState& xs = StateFor(m.block_digest);
   if (xs.done) return;
-  const ClusterConfig& sender = dir_->Cluster(m.from_cluster);
-  if (std::find(sender.ordering.begin(), sender.ordering.end(), from) ==
-          sender.ordering.end() ||
-      m.sig.signer != from ||
-      !env()->keystore.Verify(m.sig, m.block_digest)) {
+  if (!SignedByMember(from, m.from_cluster, m.sig, m.block_digest)) {
     env()->metrics.Inc("cross.bad_fcommit");
     return;
   }
@@ -469,26 +374,12 @@ void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
     for (const auto& a : m.assignments) {
       xs.assignments[a.alpha.shard] = a;
     }
-    CommitCertificate cert;
-    cert.block_digest = m.block_digest;
-    cert.direct = true;
-    cert.sigs.push_back(m.sig);
-    RecordOutcome(xs, cert, false);
-    auto mine = xs.assignments.find(cfg_.shard);
-    if (mine != xs.assignments.end()) {
-      CommitBlock(xs.block, cert, mine->second.alpha, mine->second.gamma,
+    CompleteCross(xs, DirectCert(m.block_digest, {m.sig}), /*abort=*/false,
                   /*reply_from_here=*/false);
-    }
-    FinishCross(xs, true);
     return;
   }
 
-  xs.commit_votes[m.from_cluster][from] = m.sig;
-  for (const auto& a : m.assignments) {
-    auto& slot = xs.assignment_votes[a.alpha.shard][a.alpha.n];
-    slot.first = a;
-    slot.second.insert(from);
-  }
+  TallyFCommit(xs, from, m);
   if (xs.block == nullptr) {
     // Commit votes for a block this replica never saw proposed: the
     // FPropose was lost on the wire. The voters are already past accept
@@ -506,28 +397,21 @@ void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
 
 void OrderingNode::MaybeFCommitDone(XState& xs) {
   if (xs.done || !xs.sent_commit || xs.block == nullptr) return;
-  size_t quorum = dir_->params.LocalMajority();
-  for (int c : xs.involved) {
-    auto it = xs.commit_votes.find(c);
-    if (it == xs.commit_votes.end() || it->second.size() < quorum) return;
-  }
+  if (!QuorumFromEveryInvolved(xs, xs.commit_votes)) return;
   // Commit certificate: our own cluster's commit votes (they sign the
   // block digest directly).
-  CommitCertificate cert;
-  cert.block_digest = xs.digest;
-  cert.direct = true;
-  for (const auto& [node, sig] : xs.commit_votes[cfg_.cluster_id]) {
-    cert.sigs.push_back(sig);
+  std::vector<Signature> sigs;
+  for (const auto& [node, sig] : xs.commit_votes[cfg_.cluster_id].entries()) {
+    sigs.push_back(sig);
   }
   // Commit under the assignment a local-majority of its assigner cluster
   // endorsed, not under our local belief: a recovered replica that
   // self-assigned a stale sequence number while wrongly leading must not
   // append the block at that height.
-  auto av = xs.assignment_votes.find(cfg_.shard);
-  if (av != xs.assignment_votes.end()) {
+  if (const auto* variants = xs.assignment_votes.Find(cfg_.shard)) {
     size_t best = 0;
     const ShardAssignment* winner = nullptr;
-    for (const auto& [n, variant] : av->second) {
+    for (const auto& [n, variant] : *variants) {
       const std::vector<NodeId>& assigner =
           dir_->Cluster(variant.first.cluster).ordering;
       size_t backing = 0;
@@ -548,13 +432,8 @@ void OrderingNode::MaybeFCommitDone(XState& xs) {
       xs.assignments[cfg_.shard] = *winner;
     }
   }
-  RecordOutcome(xs, cert, false);
-  auto mine = xs.assignments.find(cfg_.shard);
-  if (mine != xs.assignments.end()) {
-    CommitBlock(xs.block, cert, mine->second.alpha, mine->second.gamma,
+  CompleteCross(xs, DirectCert(xs.digest, std::move(sigs)), /*abort=*/false,
                 /*reply_from_here=*/xs.i_coordinate);
-  }
-  FinishCross(xs, true);
 }
 
 }  // namespace qanaat

@@ -45,11 +45,7 @@ OrderingNode::OrderingNode(Env* env, const Directory* dir,
   ctx.pipeline_depth = static_cast<size_t>(
       dir_->params.pipeline_depth < 0 ? 0 : dir_->params.pipeline_depth);
   ctx.send = [this](NodeId to, MessageRef m) { Send(to, std::move(m)); };
-  ctx.broadcast = [this](MessageRef m) {
-    for (NodeId peer : cfg_.ordering) {
-      if (peer != id()) Send(peer, m);
-    }
-  };
+  ctx.broadcast = [this](MessageRef m) { SendExceptSelf(cfg_.ordering, m); };
   ctx.start_timer = [this](SimTime d, uint64_t tag, uint64_t payload) {
     StartTimer(d, tag, payload);
   };
@@ -550,19 +546,28 @@ void OrderingNode::OnBatchClosed(const FlowKey& key,
   env()->metrics.Inc(std::string("batch.closed_") + BatchCloseName(why));
   env()->metrics.Hist("batch.txs").Add(static_cast<int64_t>(txs.size()));
 
-  BlockPtr block = MakeBlock(key, std::move(txs));
   if (!IsCross(key)) {
     // Intra-shard intra-enterprise: internal consensus commits directly.
-    ConsensusValue v = ConsensusValue::ForBlock(block);
+    ConsensusValue v = ConsensusValue::ForBlock(MakeBlock(key, std::move(txs)));
     v.batch_close = static_cast<uint8_t>(why);
     engine_->Propose(v);
     return;
   }
-  if (dir_->params.family == ProtocolFamily::kCoordinator) {
-    StartCoordinated(block);
-  } else {
-    StartFlattened(block);
+  int initiator = CoordinatorClusterOf(key.collection, key.shards);
+  if (initiator != cfg_.cluster_id) {
+    // Another cluster initiates this flow (a client sent to a cluster
+    // other than the flow's coordinator/initiator): hand the batch over
+    // before a block is minted, so no sequence number of this cluster's
+    // chain is spent on a block it never proposes.
+    for (const auto& tx : txs) {
+      auto req = std::make_shared<RequestMsg>();
+      req->tx = tx;
+      req->wire_bytes = 64 + tx.WireSize();
+      Send(dir_->Cluster(initiator).InitialPrimary(), req);
+    }
+    return;
   }
+  StartCross(MakeBlock(key, std::move(txs)));
 }
 
 // --------------------------------------------------- consensus plumbing
@@ -739,16 +744,6 @@ bool OrderingNode::IAmShardAssigner(const CollectionId& c,
   return cfg_.enterprise == initiator_enterprise;
 }
 
-std::vector<NodeId> OrderingNode::NodesOf(
-    const std::vector<int>& clusters) const {
-  std::vector<NodeId> out;
-  for (int c : clusters) {
-    const auto& ord = dir_->Cluster(c).ordering;
-    out.insert(out.end(), ord.begin(), ord.end());
-  }
-  return out;
-}
-
 bool OrderingNode::HasCrossShardConflict(
     const BlockPtr& block, const std::vector<ShardId>& shards) const {
   auto intersects2 = [&shards](const std::vector<ShardId>& other) {
@@ -785,18 +780,119 @@ void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
   watchdog_.ArmBy(xs.deadline);
 }
 
+// ------------------------------------------- cross-instance skeleton
+
+void OrderingNode::StartCross(const BlockPtr& block) {
+  const Transaction& probe = block->txs.front();
+  // Concurrency control (§4.3.2, §4.4.2): defer blocks that intersect an
+  // active cross-shard transaction in >= 2 shards.
+  if (probe.shards.size() > 1) {
+    if (HasCrossShardConflict(block, probe.shards)) {
+      deferred_cross_.push_back(DeferredCross{block});
+      PinCross(block);
+      env()->metrics.Inc("cross.deferred_conflict");
+      return;
+    }
+    active_cross_[block->Digest()] = probe.shards;
+  }
+
+  XState& xs = StateFor(block->Digest());
+  AdoptBlock(xs, block);
+  xs.i_coordinate = true;
+  if (!xs.pinned) {
+    xs.pinned = true;
+    PinCross(block);
+  }
+  const LocalPart& alpha = block->id.alpha;
+  xs.assignments[alpha.shard] =
+      ShardAssignment{cfg_.cluster_id, alpha, block->id.gamma};
+  own_pending_.insert({ShardRef{alpha.collection, alpha.shard}, alpha.n});
+  if (dir_->params.family == ProtocolFamily::kCoordinator) {
+    OpenCoordinated(xs);
+  } else {
+    OpenFlattened(xs);
+  }
+}
+
+void OrderingNode::AdoptBlock(XState& xs, const BlockPtr& block) {
+  const Transaction& probe = block->txs.front();
+  xs.block = block;
+  xs.involved = InvolvedClusters(probe.collection, probe.shards);
+  xs.is_cross_enterprise = probe.collection.members.size() > 1;
+  xs.is_cross_shard = probe.shards.size() > 1;
+}
+
+void OrderingNode::CompleteCross(XState& xs, const CommitCertificate& cert,
+                                 bool abort, bool reply_from_here) {
+  xs.outcome_cert = cert;
+  xs.outcome_known = true;
+  xs.outcome_abort = abort;
+  if (!abort) {
+    auto mine = xs.assignments.find(cfg_.shard);
+    if (mine != xs.assignments.end()) {
+      CommitBlock(xs.block, cert, mine->second.alpha, mine->second.gamma,
+                  reply_from_here);
+    }
+  }
+  FinishCross(xs, !abort);
+}
+
+void OrderingNode::SendToInvolved(const XState& xs, const MessageRef& m) {
+  for (int c : xs.involved) SendExceptSelf(dir_->Cluster(c).ordering, m);
+}
+
+void OrderingNode::MulticastToOtherClusters(const XState& xs,
+                                            const MessageRef& m) {
+  for (int c : xs.involved) {
+    if (c != cfg_.cluster_id) Multicast(dir_->Cluster(c).ordering, m);
+  }
+}
+
+void OrderingNode::SendExceptSelf(const std::vector<NodeId>& nodes,
+                                  const MessageRef& m) {
+  for (NodeId n : nodes) {
+    if (n != id()) Send(n, m);
+  }
+}
+
+bool OrderingNode::SignedByMember(NodeId from, int cluster,
+                                  const Signature& sig,
+                                  const Sha256Digest& signable) const {
+  const std::vector<NodeId>& members = dir_->Cluster(cluster).ordering;
+  return std::find(members.begin(), members.end(), from) != members.end() &&
+         sig.signer == from && env()->keystore.Verify(sig, signable);
+}
+
+bool OrderingNode::AllShardsAssigned(const XState& xs) {
+  for (ShardId s : xs.block->txs.front().shards) {
+    if (!xs.assignments.count(s)) return false;
+  }
+  return true;
+}
+
+bool OrderingNode::QuorumFromEveryInvolved(
+    const XState& xs, const FlatMap<int, VoteSet>& tally) const {
+  for (int c : xs.involved) {
+    const VoteSet* votes = tally.Find(c);
+    if (votes == nullptr || votes->size() < dir_->params.LocalMajority()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void OrderingNode::FinishCross(XState& xs, bool committed) {
   xs.done = true;
   live_xstates_.erase(xs.digest);
   // Every reader of the vote tallies checks `done` first, so a finished
-  // instance sheds them (clearing a tree frees its nodes); it keeps only
-  // what §4.3.4 query answering and a re-decided XOrder read (outcome,
-  // block, assignments, involved).
-  xs.prepared_votes.clear();
-  xs.abort_votes.clear();
-  xs.accepts.clear();
-  xs.commit_votes.clear();
-  xs.assignment_votes.clear();
+  // instance sheds them (assigning an empty tally frees its storage); it
+  // keeps only what §4.3.4 query answering and a re-decided XOrder read
+  // (outcome, block, assignments, involved).
+  xs.prepared_votes = {};
+  xs.abort_votes = {};
+  xs.accepts = {};
+  xs.commit_votes = {};
+  xs.assignment_votes = {};
   if (xs.pinned) {
     xs.pinned = false;
     UnpinCross(xs.block);
@@ -818,13 +914,9 @@ void OrderingNode::FinishCross(XState& xs, bool committed) {
       for (auto& d : retry) {
         // Hand the pin from the deferred entry to whatever holder the
         // restart lands in (new instance, or back onto the deferred
-        // queue) — the Start call below re-pins.
+        // queue) — StartCross re-pins.
         UnpinCross(d.block);
-        if (dir_->params.family == ProtocolFamily::kCoordinator) {
-          StartCoordinated(d.block);
-        } else {
-          StartFlattened(d.block);
-        }
+        StartCross(d.block);
       }
     }
   }
@@ -948,18 +1040,7 @@ void OrderingNode::RunRetry(uint64_t token) {
                              static_cast<uint32_t>(retries));
   XState& xs = StateFor(fresh->Digest());
   xs.retries = retries;
-  if (dir_->params.family == ProtocolFamily::kCoordinator) {
-    StartCoordinated(fresh);
-  } else {
-    StartFlattened(fresh);
-  }
-}
-
-void OrderingNode::RecordOutcome(XState& xs, const CommitCertificate& cert,
-                                 bool abort) {
-  xs.outcome_cert = cert;
-  xs.outcome_known = true;
-  xs.outcome_abort = abort;
+  StartCross(fresh);
 }
 
 void OrderingNode::RedriveCross(XState& xs) {
@@ -989,32 +1070,10 @@ void OrderingNode::RedriveCross(XState& xs) {
   }
   env()->metrics.Inc("cross.redrive");
   if (dir_->params.family == ProtocolFamily::kFlattened) {
-    auto prop = std::make_shared<FProposeMsg>();
-    prop->initiator_cluster = cfg_.cluster_id;
-    prop->block = xs.block;
-    prop->block_digest = xs.digest;
-    prop->sig = env()->keystore.Sign(id(), xs.digest);
-    prop->wire_bytes = 128 + xs.block->WireSize();
-    for (int c : xs.involved) {
-      for (NodeId n : dir_->Cluster(c).ordering) {
-        if (n != id()) Send(n, prop);
-      }
-    }
+    SendFPropose(xs);
     ResendCrossVotes(xs);
   } else if (xs.order_cert_known) {
-    auto prep = std::make_shared<XPrepareMsg>();
-    prep->coord_cluster = cfg_.cluster_id;
-    prep->block = xs.block;
-    prep->block_digest = xs.digest;
-    prep->coord_cert = xs.order_cert;
-    prep->wire_bytes =
-        160 + xs.block->WireSize() + prep->coord_cert.WireSize();
-    prep->sig_verify_ops =
-        static_cast<uint16_t>(prep->coord_cert.sigs.size());
-    for (int c : xs.involved) {
-      if (c == cfg_.cluster_id) continue;
-      Multicast(dir_->Cluster(c).ordering, prep);
-    }
+    SendXPrepare(xs);
   }
 }
 

@@ -94,22 +94,25 @@ class OrderingNode : public Actor {
     bool pinned = false;                // txs held in pending_cross_ here
     // Assignments collected per shard (keyed by shard id).
     std::map<ShardId, ShardAssignment> assignments;
+    // Vote tallies are keyed by cluster and hold the engines' flat vote
+    // types, which iterate in ascending NodeId order: a certificate
+    // built from them serializes the same on every node.
     // Coordinator-side prepared bookkeeping: cluster -> voters.
-    std::map<int, std::set<NodeId>> prepared_votes;
-    std::map<int, std::set<NodeId>> abort_votes;
+    FlatMap<int, SortedVec<NodeId>> prepared_votes;
+    FlatMap<int, SortedVec<NodeId>> abort_votes;
     std::set<int> prepared_clusters;
     bool commit_started = false;
     bool abort_started = false;
-    // Flattened bookkeeping.
-    std::map<int, std::map<NodeId, Signature>> accepts;
-    std::map<int, std::map<NodeId, Signature>> commit_votes;
+    // Flattened bookkeeping: cluster -> signed votes.
+    FlatMap<int, VoteSet> accepts;
+    FlatMap<int, VoteSet> commit_votes;
     // Per-shard assignment endorsements carried on commit votes: keyed
     // by the claimed sequence number, with the endorsing nodes. Commit
     // adopts the variant a local-majority of the assigner cluster backs —
     // a node's own belief may be a stale self-assignment from a crashed
     // life, and committing under it diverges the shared chain.
-    std::map<ShardId, std::map<SeqNo, std::pair<ShardAssignment,
-                                                std::set<NodeId>>>>
+    FlatMap<ShardId,
+            FlatMap<SeqNo, std::pair<ShardAssignment, SortedVec<NodeId>>>>
         assignment_votes;
     bool sent_accept = false;
     bool sent_commit = false;
@@ -191,6 +194,34 @@ class OrderingNode : public Actor {
   void ForwardReplyCert(const ReplyCertMsg& m);
   static std::vector<ShardId> AllShards(const XState& xs);
 
+  // ---- cross-cluster: the instance skeleton both families share
+  /// Starts a cross instance at the initiator cluster: defers the block
+  /// on a §4.3.2 shard conflict, otherwise reserves its shards, adopts
+  /// it with this cluster's own assignment and runs the family's first
+  /// round (OpenCoordinated / OpenFlattened).
+  void StartCross(const BlockPtr& block);
+  /// Records the block an instance orders and what it involves.
+  void AdoptBlock(XState& xs, const BlockPtr& block);
+  /// Ends an instance with its certified outcome: keeps the outcome for
+  /// §4.3.4 queries, appends a committed block under this cluster's
+  /// assignment, and finishes the instance.
+  void CompleteCross(XState& xs, const CommitCertificate& cert, bool abort,
+                     bool reply_from_here);
+  /// Fan-out to every node of every involved cluster except this one.
+  void SendToInvolved(const XState& xs, const MessageRef& m);
+  /// Fan-out to every involved cluster except our own.
+  void MulticastToOtherClusters(const XState& xs, const MessageRef& m);
+  void SendExceptSelf(const std::vector<NodeId>& nodes, const MessageRef& m);
+  /// Provenance of a signed vote: `from` is an ordering node of
+  /// `cluster` and signed `signable` itself.
+  bool SignedByMember(NodeId from, int cluster, const Signature& sig,
+                      const Sha256Digest& signable) const;
+  /// Every shard the block touches has a known ⟨α, γ⟩ assignment.
+  static bool AllShardsAssigned(const XState& xs);
+  /// A local-majority of votes in `tally` from every involved cluster.
+  bool QuorumFromEveryInvolved(const XState& xs,
+                               const FlatMap<int, VoteSet>& tally) const;
+
   // ---- cross-cluster: shared helpers
   bool IsCross(const FlowKey& key) const;
   std::vector<int> InvolvedClusters(const CollectionId& c,
@@ -203,7 +234,6 @@ class OrderingNode : public Actor {
   /// initiator enterprise's clusters do (paper §4.3.3 verbatim).
   bool IAmShardAssigner(const CollectionId& c,
                         EnterpriseId initiator_enterprise) const;
-  std::vector<NodeId> NodesOf(const std::vector<int>& clusters) const;
   XState& StateFor(const Sha256Digest& d);
   /// True if `block` intersects an active *or already-deferred*
   /// cross-shard block in >= 2 shards (§4.3.2). Deferred blocks count so
@@ -230,7 +260,16 @@ class OrderingNode : public Actor {
   void ResendCrossVotes(XState& xs);
 
   // ---- coordinator-based family (ordering_coordinator.cc)
-  void StartCoordinated(const BlockPtr& block);
+  void OpenCoordinated(XState& xs);
+  void SendXPrepare(const XState& xs);
+  /// PREPARED carrying this cluster's XOrder certificate (and the
+  /// assignment it decided, if any).
+  std::shared_ptr<XPreparedMsg> MakeClusterPrepared(
+      const XState& xs, const ShardAssignment* assignment) const;
+  /// PREPARED carrying this node's own signature: a validation vote, or
+  /// a nack when `abort`.
+  std::shared_ptr<XPreparedMsg> MakeNodePrepared(const Sha256Digest& d,
+                                                 bool abort) const;
   void OnXOrderDecided(uint64_t slot, const ConsensusValue& v);
   void OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
                         bool is_abort);
@@ -240,12 +279,21 @@ class OrderingNode : public Actor {
   void MaybeStartCommitPhase(XState& xs);
 
   // ---- flattened family (ordering_flattened.cc)
-  void StartFlattened(const BlockPtr& block);
+  void OpenFlattened(XState& xs);
+  void SendFPropose(const XState& xs);
+  /// This node's ACCEPT, announcing `announce` (a primary's own-shard
+  /// assignment) when non-null.
+  std::shared_ptr<FAcceptMsg> MakeFAccept(
+      const XState& xs, const ShardAssignment* announce) const;
+  /// This node's COMMIT vote, carrying every known assignment.
+  std::shared_ptr<FCommitMsg> MakeFCommit(const XState& xs) const;
   void HandleFPropose(NodeId from, const FProposeMsg& m);
   void HandleFAccept(NodeId from, const FAcceptMsg& m);
   void HandleFCommit(NodeId from, const FCommitMsg& m);
   void SendFAccept(XState& xs);
   void MaybeSendFCommit(XState& xs);
+  /// Counts `from`'s commit vote and the assignments it endorses.
+  void TallyFCommit(XState& xs, NodeId from, const FCommitMsg& m);
   void MaybeFCommitDone(XState& xs);
   bool FlattenedCftFastPath(const XState& xs) const;
 
@@ -255,8 +303,6 @@ class OrderingNode : public Actor {
   /// re-arms for the earliest one left.
   void OnDeadlines();
   void HandleQuery(NodeId from, const QueryMsg& m);
-  /// Records a certified cross-instance outcome for query answering.
-  void RecordOutcome(XState& xs, const CommitCertificate& cert, bool abort);
 
   // ---- checkpointed state transfer (recovery path)
   /// Arms the one-shot state-sync timer (deduped while pending): the

@@ -259,6 +259,47 @@ TEST(CrossShardTest, ConflictingBlocksSerialized) {
   EXPECT_EQ(lg.HeadOf({d_a, 0}), 2u);
 }
 
+// A cross-shard request sent to a cluster that does not initiate its flow
+// is handed to the initiator cluster. The hand-over must not spend a
+// sequence number of the handing cluster's chain: if it did, that chain
+// would get the instance's block at height 2, deferred forever behind a
+// hole that no cluster fills.
+class CrossHandOverTest : public ::testing::TestWithParam<ProtocolFamily> {};
+
+TEST_P(CrossHandOverTest, HandedOverBatchSpendsNoSequenceNumber) {
+  auto sys = QanaatSystem(BaseOpts(GetParam(), FailureModel::kByzantine, 2, 2));
+  ScriptClient client(&sys.env(), &sys.directory());
+  CollectionId d_a{EnterpriseSet::Single(0)};
+  // Enterprise A's shard-0 cluster initiates the {0, 1} flow; the request
+  // goes to its shard-1 cluster.
+  uint64_t ts = client.Submit(d_a, {0, 1},
+                              {TxOp{TxOp::Kind::kAdd, 0, 10, {}},
+                               TxOp{TxOp::Kind::kAdd, 1, -10, {}}},
+                              sys.directory().ClusterIdOf(0, 1));
+  sys.env().sim.Run(2 * kSecond);
+  EXPECT_TRUE(client.Settled(ts));
+  for (ShardId s : {0, 1}) {
+    int c = sys.directory().ClusterIdOf(0, s);
+    for (size_t i = 0; i < sys.directory().Cluster(c).ordering.size(); ++i) {
+      const ExecutorCore& exec =
+          sys.ordering_node(c, static_cast<int>(i))->exec_core();
+      EXPECT_EQ(exec.ledger().HeadOf({d_a, s}), 1u)
+          << "cluster " << c << " node " << i;
+      EXPECT_EQ(exec.pending_blocks(), 0u)
+          << "cluster " << c << " node " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothFamilies, CrossHandOverTest,
+    ::testing::Values(ProtocolFamily::kCoordinator,
+                      ProtocolFamily::kFlattened),
+    [](const ::testing::TestParamInfo<ProtocolFamily>& info) {
+      return info.param == ProtocolFamily::kCoordinator ? "Coordinator"
+                                                        : "Flattened";
+    });
+
 // ------------------------------------------------- client retransmission
 
 TEST(FailureHandlingTest, ClientRetransmitsToAllNodes) {
