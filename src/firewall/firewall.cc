@@ -180,7 +180,7 @@ void FilterNode::OnMessage(NodeId from, const MessageRef& msg) {
       HandleExecOrder(from, msg);
       break;
     case MsgType::kExecReply:
-      HandleExecReply(from, *msg->As<ExecReplyMsg>());
+      HandleExecReply(from, msg);
       break;
     case MsgType::kReplyCert:
       HandleReplyCert(from, msg);
@@ -222,7 +222,8 @@ void FilterNode::HandleExecOrder(NodeId /*from*/, const MessageRef& msg) {
   Multicast(Above(), msg);
 }
 
-void FilterNode::HandleExecReply(NodeId from, const ExecReplyMsg& m) {
+void FilterNode::HandleExecReply(NodeId from, const MessageRef& msg) {
+  const auto& m = *msg->As<ExecReplyMsg>();
   if (!top_row_) {
     // Reply shares are only accepted by the top row, directly from the
     // execution nodes; anything else is out-of-protocol traffic.
@@ -243,23 +244,25 @@ void FilterNode::HandleExecReply(NodeId from, const ExecReplyMsg& m) {
   if (forwarded_up_.count(m.block_digest)) return;
 
   auto& by_result = reply_shares_[m.block_digest];
-  by_result[m.result_digest][from] = m.sig;
-  if (!reply_bodies_.count(m.result_digest)) {
-    reply_bodies_[m.result_digest] =
-        std::make_shared<ExecReplyMsg>(m);
+  ResultShares& tally = by_result[m.result_digest];
+  tally.shares[from] = m.sig;
+  if (tally.body == nullptr) {
+    tally.body = std::static_pointer_cast<const ExecReplyMsg>(msg);
   }
 
   size_t quorum = static_cast<size_t>(dir_->params.g) + 1;
-  for (auto& [result, shares] : by_result) {
-    if (shares.size() < quorum) continue;
+  for (const auto& [result, t] : by_result) {
+    if (t.shares.size() < quorum) continue;
     // g+1 matching replies: assemble the reply certificate (§4.2).
     forwarded_up_.insert(m.block_digest);
     auto cert_msg = std::make_shared<ReplyCertMsg>();
     cert_msg->block_digest = m.block_digest;
     cert_msg->result_digest = result;
-    cert_msg->clients = reply_bodies_[result]->clients;
+    cert_msg->clients = t.body->clients;
     cert_msg->cert.reply_digest = result;
-    for (auto& [node, sig] : shares) cert_msg->cert.sigs.push_back(sig);
+    for (const auto& [node, sig] : t.shares) {
+      cert_msg->cert.sigs.push_back(sig);
+    }
     cert_msg->wire_bytes =
         96 + static_cast<uint32_t>(cert_msg->clients.size() * 12 +
                                    cert_msg->cert.sigs.size() * 20);

@@ -94,7 +94,7 @@ class FilterNode : public Actor {
 
  private:
   void HandleExecOrder(NodeId from, const MessageRef& msg);
-  void HandleExecReply(NodeId from, const ExecReplyMsg& m);
+  void HandleExecReply(NodeId from, const MessageRef& msg);
   void HandleReplyCert(NodeId from, const MessageRef& msg);
   /// Executor pull brokering (top row only): a StateRequest from a
   /// gapped execution node is handed to one of its peers (round-robin,
@@ -120,10 +120,16 @@ class FilterNode : public Actor {
   bool top_row_;
   std::set<Sha256Digest> forwarded_down_;  // ExecOrder digests forwarded
   std::set<Sha256Digest> forwarded_up_;    // reply digests forwarded
-  // Top-row aggregation: block digest -> (result digest -> shares)
-  std::map<Sha256Digest, std::map<Sha256Digest, std::map<NodeId, Signature>>>
-      reply_shares_;
-  std::map<Sha256Digest, std::shared_ptr<const ExecReplyMsg>> reply_bodies_;
+  // Top-row aggregation, per block digest and result digest: the signed
+  // shares, and the first reply carrying that result (its client list
+  // goes into the certificate). A block's entry is freed when its
+  // certificate forms: the result digest commits to the block digest,
+  // so no other block's shares can ever match it.
+  struct ResultShares {
+    std::map<NodeId, Signature> shares;
+    std::shared_ptr<const ExecReplyMsg> body;
+  };
+  std::map<Sha256Digest, std::map<Sha256Digest, ResultShares>> reply_shares_;
   uint64_t filtered_ = 0;
   uint32_t pull_rr_serve_ = 0;  // round-robins the serving peer choice
 };

@@ -25,7 +25,7 @@ void OrderingNode::OpenCoordinated(XState& xs) {
   v.block_digest = xs.digest;
   v.assignments = {xs.assignments[xs.block->id.alpha.shard]};
   engine_->Propose(v);
-  ArmCrossTimer(xs.digest);
+  ArmCrossTimer(xs);
 }
 
 void OrderingNode::SendXPrepare(const XState& xs) {
@@ -110,7 +110,7 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
       }
     }
   }
-  ArmCrossTimer(v.block_digest);
+  ArmCrossTimer(xs);
 }
 
 void OrderingNode::HandleXPrepare(NodeId /*from*/, const XPrepareMsg& m) {
@@ -123,13 +123,14 @@ void OrderingNode::HandleXPrepare(NodeId /*from*/, const XPrepareMsg& m) {
     env()->metrics.Inc("cross.bad_prepare");
     return;
   }
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
+  XState* live = LiveState(m.block_digest);
+  if (live == nullptr) return;
+  XState& xs = *live;
   AdoptBlock(xs, m.block);
   const Transaction& probe = m.block->txs.front();
   xs.assignments[m.block->id.alpha.shard] = ShardAssignment{
       m.coord_cluster, m.block->id.alpha, m.block->id.gamma};
-  ArmCrossTimer(m.block_digest);
+  ArmCrossTimer(xs);
 
   if (coord.shard == cfg_.shard) {
     // Same data shard as the coordinator (intra-shard cross-enterprise,
@@ -202,19 +203,27 @@ void OrderingNode::HandleXPrepare(NodeId /*from*/, const XPrepareMsg& m) {
 }
 
 void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
   const ClusterConfig& sender = dir_->Cluster(m.from_cluster);
-
+  // Provenance before the instance exists, so a message that fails it
+  // leaves no live instance behind. A cluster-level PREPARED carries the
+  // certificate of its cluster's internal consensus; an individual
+  // validation (or abort) vote carries its sender's signature.
   if (m.is_cluster_cert) {
-    // A cluster-level PREPARED from a primary that ran internal
-    // consensus.
     if (!m.cluster_cert.ValidFrom(env()->keystore,
                                   dir_->params.CertQuorum(),
                                   sender.ordering)) {
       env()->metrics.Inc("cross.bad_prepared_cert");
       return;
     }
+  } else if (!SignedByMember(from, m.from_cluster, m.sig, m.block_digest)) {
+    env()->metrics.Inc("cross.bad_prepared_sig");
+    return;
+  }
+  XState* live = LiveState(m.block_digest);
+  if (live == nullptr) return;
+  XState& xs = *live;
+
+  if (m.is_cluster_cert) {
     if (m.has_assignment) {
       xs.assignments[m.assignment.alpha.shard] = m.assignment;
     }
@@ -235,12 +244,6 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
            MakeNodePrepared(m.block_digest, /*abort=*/false));
     }
   } else {
-    // An individual validation (or abort) vote.
-    if (m.sig.signer != from ||
-        !env()->keystore.Verify(m.sig, m.block_digest)) {
-      env()->metrics.Inc("cross.bad_prepared_sig");
-      return;
-    }
     if (m.abort) {
       auto& nacks = xs.abort_votes[m.from_cluster];
       nacks.Insert(from);
@@ -291,8 +294,9 @@ void OrderingNode::MaybeStartCommitPhase(XState& xs) {
 
 void OrderingNode::OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
                                     bool is_abort) {
-  XState& xs = StateFor(v.block_digest);
-  if (xs.done) return;
+  XState* live = LiveState(v.block_digest);
+  if (live == nullptr) return;
+  XState& xs = *live;
   xs.block = v.block;
   for (const auto& a : v.assignments) {
     xs.assignments[a.alpha.shard] = a;
@@ -333,8 +337,6 @@ void OrderingNode::OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
 }
 
 void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
   const ClusterConfig& coord = dir_->Cluster(m.coord_cluster);
   if (m.coord_cert.block_digest != m.block_digest ||
       !m.coord_cert.ValidFrom(env()->keystore, dir_->params.CertQuorum(),
@@ -342,6 +344,9 @@ void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
     env()->metrics.Inc("cross.bad_commit");
     return;
   }
+  XState* live = LiveState(m.block_digest);
+  if (live == nullptr) return;
+  XState& xs = *live;
   xs.block = m.block;
   if (m.is_abort) {
     // Release the slot claims so a replacement block can reuse the

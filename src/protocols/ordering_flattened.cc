@@ -40,7 +40,7 @@ bool OrderingNode::FlattenedCftFastPath(const XState& xs) const {
 
 void OrderingNode::OpenFlattened(XState& xs) {
   SendFPropose(xs);
-  ArmCrossTimer(xs.digest);
+  ArmCrossTimer(xs);
   SendFAccept(xs);
 }
 
@@ -88,8 +88,9 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
     return;
   }
   const ClusterConfig& init = dir_->Cluster(m.initiator_cluster);
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
+  XState* live = LiveState(m.block_digest);
+  if (live == nullptr) return;
+  XState& xs = *live;
   AdoptBlock(xs, m.block);
   const Transaction& probe = m.block->txs.front();
   // Replies to clients come from the initiator cluster — every node of
@@ -97,7 +98,7 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
   xs.i_coordinate = (m.initiator_cluster == cfg_.cluster_id);
   xs.assignments[m.block->id.alpha.shard] = ShardAssignment{
       m.initiator_cluster, m.block->id.alpha, m.block->id.gamma};
-  ArmCrossTimer(m.block_digest);
+  ArmCrossTimer(xs);
 
   // Replay a fast-path commit that overtook this propose.
   if (xs.pending_fast_commit != nullptr) {
@@ -272,13 +273,16 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
 }
 
 void OrderingNode::HandleFAccept(NodeId from, const FAcceptMsg& m) {
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
+  // Provenance before the instance exists: a forged vote must not leave
+  // a live instance behind.
   if (!SignedByMember(from, m.from_cluster, m.sig,
                       AcceptSignable(m.block_digest))) {
     env()->metrics.Inc("cross.bad_accept");
     return;
   }
+  XState* live = LiveState(m.block_digest);
+  if (live == nullptr) return;
+  XState& xs = *live;
   if (m.has_assignment) {
     auto it = xs.assignments.find(m.assignment.alpha.shard);
     if (it == xs.assignments.end()) {
@@ -353,12 +357,13 @@ void OrderingNode::TallyFCommit(XState& xs, NodeId from, const FCommitMsg& m) {
 }
 
 void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
   if (!SignedByMember(from, m.from_cluster, m.sig, m.block_digest)) {
     env()->metrics.Inc("cross.bad_fcommit");
     return;
   }
+  XState* live = LiveState(m.block_digest);
+  if (live == nullptr) return;
+  XState& xs = *live;
 
   if (m.fast_path) {
     // Crash-only fast path: trust the initiator primary's instruction.
@@ -390,7 +395,7 @@ void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
     // CommitQuery and any finished peer answers with the certified
     // outcome, block included.
     env()->metrics.Inc("cross.fcommit_before_propose");
-    ArmCrossTimer(m.block_digest);
+    ArmCrossTimer(xs);
   }
   MaybeFCommitDone(xs);
 }

@@ -108,6 +108,7 @@ void OrderingNode::MaybeWatchExecWedge() {
 
 void OrderingNode::OnRecover() {
   engine_->OnHostRecover();
+  RetireFinished();
   watchdog_.Rearm(now() + dir_->params.cross_timeout_us);
   // A restarted replica missed every commit of its downtime — including
   // cross-cluster commits nothing will ever retransmit (completed
@@ -197,32 +198,28 @@ void OrderingNode::OnMessage(NodeId from, const MessageRef& msg) {
       HandleQuery(from, *msg->As<QueryMsg>());
       break;
     case MsgType::kReplyCert:
-      ForwardReplyCert(*msg->As<ReplyCertMsg>());
+      ForwardReplyCert(msg);
       break;
     default:
       break;
   }
+  RetireFinished();
 }
 
 void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
   if (tag >= InternalConsensus::kEngineTimerBase) {
     engine_->OnTimer(tag, payload);
-    return;
-  }
-  if (tag == kTagBatch) {
+  } else if (tag == kTagBatch) {
     batcher_.OnTimer(payload);
-    return;
-  }
-  if (tag == kTagRetry) {
+  } else if (tag == kTagRetry) {
     RunRetry(payload);
-    return;
-  }
-  if (tag == kTagStateSync) {
+  } else if (tag == kTagStateSync) {
     state_sync_pending_ = false;
     SendStateRequest();
-    return;
+  } else if (tag == kTagWatchdog && watchdog_.Fire(payload)) {
+    OnDeadlines();
   }
-  if (tag == kTagWatchdog && watchdog_.Fire(payload)) OnDeadlines();
+  RetireFinished();
 }
 
 void OrderingNode::OnDeadlines() {
@@ -275,11 +272,12 @@ void OrderingNode::OnDeadlines() {
   if (!progress_checks_.empty()) {
     next = std::min(next, progress_checks_.front().deadline);
   }
-  // Expired cross instances act in deadline order (ties by digest): the
-  // live index is a hashed container.
+  // Expired cross instances act in deadline order (ties by digest):
+  // xstates_ is a hashed container.
   std::vector<std::pair<SimTime, Sha256Digest>> expired;
-  for (const Sha256Digest& d : live_xstates_) {
-    SimTime deadline = xstates_.at(d).deadline;
+  for (const auto& [d, xs] : xstates_) {
+    if (xs.done) continue;
+    SimTime deadline = xs.deadline;
     if (deadline <= now()) {
       expired.emplace_back(deadline, d);
     } else {
@@ -315,7 +313,7 @@ void OrderingNode::OnDeadlines() {
                                    AllShards(xs));
     }
     Multicast(dir_->Cluster(coord).ordering, q);
-    ArmCrossTimer(d);
+    ArmCrossTimer(xs);
   }
 }
 
@@ -687,12 +685,15 @@ void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res) {
   for (NodeId c : machines) Send(c, reply);
 }
 
-void OrderingNode::ForwardReplyCert(const ReplyCertMsg& m) {
+void OrderingNode::ForwardReplyCert(const MessageRef& msg) {
   // Reply certificate arrived from the bottom filter row; the primary
   // forwards it to the client machines (§4.2). All nodes cache it for
-  // client retransmissions. For cross-cluster blocks only the initiator
-  // cluster replies.
-  auto cached = std::make_shared<ReplyCertMsg>(m);
+  // client retransmissions (the latest arrival answers). Messages are
+  // immutable, so the cache shares the delivered certificate — one
+  // allocation per filter copy, not one per ordering node. For
+  // cross-cluster blocks only the initiator cluster replies.
+  auto cached = std::static_pointer_cast<const ReplyCertMsg>(msg);
+  const ReplyCertMsg& m = *cached;
   reply_cache_[m.block_digest] = cached;
   for (const auto& id : m.clients) {
     auto [it, fresh] = reply_index_.try_emplace(id, m.block_digest);
@@ -766,15 +767,51 @@ bool OrderingNode::HasCrossShardConflict(
 
 OrderingNode::XState& OrderingNode::StateFor(const Sha256Digest& d) {
   auto [it, fresh] = xstates_.try_emplace(d);
-  if (fresh) {
-    it->second.digest = d;
-    live_xstates_.insert(d);
+  XState& xs = it->second;
+  if (!fresh) return xs;
+  xs.digest = d;
+  auto rec = finished_.find(d);
+  if (rec != finished_.end()) {
+    const XOutcome& o = rec->second;
+    xs.done = true;
+    xs.block = o.block;
+    xs.outcome_cert = o.cert;
+    xs.outcome_known = o.certified;
+    xs.outcome_abort = o.abort;
+    for (const ShardAssignment& a : o.assignments) {
+      xs.assignments.emplace(a.alpha.shard, a);
+    }
+    finishing_.push_back(d);
   }
-  return it->second;
+  return xs;
 }
 
-void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
-  XState& xs = StateFor(d);
+OrderingNode::XState* OrderingNode::LiveState(const Sha256Digest& d) {
+  auto it = xstates_.find(d);
+  if (it != xstates_.end()) return it->second.done ? nullptr : &it->second;
+  if (finished_.find(d) != finished_.end()) return nullptr;
+  return &StateFor(d);
+}
+
+void OrderingNode::RetireFinished() {
+  for (const Sha256Digest& d : finishing_) {
+    auto node = xstates_.extract(d);
+    XState& xs = node.mapped();
+    XOutcome& o = finished_[d];
+    o.block = std::move(xs.block);
+    o.cert = std::move(xs.outcome_cert);
+    o.certified = xs.outcome_known;
+    o.abort = xs.outcome_abort;
+    o.assignments.clear();
+    o.assignments.reserve(xs.assignments.size());
+    for (auto& [shard, a] : xs.assignments) {
+      o.assignments.push_back(std::move(a));
+    }
+  }
+  finishing_.clear();
+}
+
+void OrderingNode::ArmCrossTimer(XState& xs) {
   if (xs.deadline != kNoDeadline || xs.done) return;
   xs.deadline = now() + dir_->params.cross_timeout_us;
   watchdog_.ArmBy(xs.deadline);
@@ -883,16 +920,7 @@ bool OrderingNode::QuorumFromEveryInvolved(
 
 void OrderingNode::FinishCross(XState& xs, bool committed) {
   xs.done = true;
-  live_xstates_.erase(xs.digest);
-  // Every reader of the vote tallies checks `done` first, so a finished
-  // instance sheds them (assigning an empty tally frees its storage); it
-  // keeps only what §4.3.4 query answering and a re-decided XOrder read
-  // (outcome, block, assignments, involved).
-  xs.prepared_votes = {};
-  xs.abort_votes = {};
-  xs.accepts = {};
-  xs.commit_votes = {};
-  xs.assignment_votes = {};
+  finishing_.push_back(xs.digest);
   if (xs.pinned) {
     xs.pinned = false;
     UnpinCross(xs.block);
@@ -977,13 +1005,11 @@ void OrderingNode::RequeueArbitrationLosers(const XState& winner) {
     slots.push_back(
         {ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n});
   }
-  // The live index is a hashed container — collect matches, then order
-  // the losers by digest so the abort (and retry) schedule is
-  // deterministic.
+  // xstates_ is a hashed container — collect matches, then order the
+  // losers by digest so the abort (and retry) schedule is deterministic.
   std::vector<Sha256Digest> losers;
-  for (const Sha256Digest& d : live_xstates_) {
-    if (d == winner_digest) continue;
-    const XState& rival = xstates_.at(d);
+  for (const auto& [d, rival] : xstates_) {
+    if (rival.done || d == winner_digest) continue;
     for (const auto& [shard, a] : rival.assignments) {
       Slot slot{ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
       if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
@@ -1078,25 +1104,23 @@ void OrderingNode::RedriveCross(XState& xs) {
 }
 
 void OrderingNode::HandleQuery(NodeId from, const QueryMsg& m) {
-  auto it = xstates_.find(m.block_digest);
-  if (it != xstates_.end() && it->second.done && it->second.outcome_known &&
+  auto it = finished_.find(m.block_digest);
+  if (it != finished_.end() && it->second.certified &&
       it->second.block != nullptr) {
     // §4.3.4: answer with the certified outcome. The asker lost the
     // original commit (crash, partition, drop); without this resend its
     // chain — and every collection order-dependent on it — stalls
     // forever.
-    const XState& xs = it->second;
+    const XOutcome& o = it->second;
     env()->metrics.Inc("cross.query_answered");
     auto cm = std::make_shared<XCommitMsg>();
     cm->coord_cluster = cfg_.cluster_id;
-    cm->block = xs.block;
+    cm->block = o.block;
     cm->block_digest = m.block_digest;
-    cm->coord_cert = xs.outcome_cert;
-    cm->is_abort = xs.outcome_abort;
-    if (xs.outcome_abort) cm->type = MsgType::kXAbort;
-    for (const auto& [shard, a] : xs.assignments) {
-      cm->assignments.push_back(a);
-    }
+    cm->coord_cert = o.cert;
+    cm->is_abort = o.abort;
+    if (o.abort) cm->type = MsgType::kXAbort;
+    cm->assignments = o.assignments;
     cm->wire_bytes = 128 + cm->coord_cert.WireSize() +
                      static_cast<uint32_t>(cm->assignments.size()) * 48;
     cm->sig_verify_ops = static_cast<uint16_t>(cm->coord_cert.sigs.size());

@@ -64,10 +64,13 @@ class OrderingNode : public Actor {
   const std::set<std::pair<NodeId, uint64_t>>& arbitration_loser_txs() const {
     return arbitration_loser_txs_;
   }
-  /// Cross instances not yet committed or aborted here. Finished
-  /// instances leave this count even though their outcome is kept for
-  /// §4.3.4 query answering.
-  size_t live_cross_instances() const { return live_xstates_.size(); }
+  /// Cross instances not yet committed or aborted here. Between
+  /// handlers xstates_ holds live instances only: a finished one has
+  /// moved to its outcome record.
+  size_t live_cross_instances() const { return xstates_.size(); }
+  /// Outcome records of finished cross instances, kept for §4.3.4 query
+  /// answering.
+  size_t finished_cross_instances() const { return finished_.size(); }
 
  private:
   friend class QanaatSystem;
@@ -120,9 +123,8 @@ class OrderingNode : public Actor {
     // delivery): held until the block arrives, then replayed.
     std::shared_ptr<const FCommitMsg> pending_fast_commit;
     NodeId pending_fast_commit_from = kInvalidNode;
-    // Outcome evidence, kept so commit-queries (§4.3.4) can be answered:
-    // a node stalled on a lost commit recovers by querying any node that
-    // has the certified outcome.
+    // Outcome evidence, moved into the instance's XOutcome record once
+    // it finishes.
     CommitCertificate outcome_cert;
     bool outcome_known = false;
     bool outcome_abort = false;
@@ -137,6 +139,18 @@ class OrderingNode : public Actor {
     // instance is still live by then (kNoDeadline: not watched).
     SimTime deadline = kNoDeadline;
     int retries = 0;
+  };
+
+  // What a finished cross instance keeps: exactly what a §4.3.4 commit
+  // query is answered with, so a node stalled on a lost commit can
+  // recover from any node that has the certified outcome. An instance
+  // finished without one (an arbitration loser) is answered as pending.
+  struct XOutcome {
+    BlockPtr block;
+    CommitCertificate cert;
+    bool certified = false;
+    bool abort = false;
+    std::vector<ShardAssignment> assignments;  // ascending shard
   };
 
   static constexpr uint64_t kTagBatch = 1;
@@ -191,7 +205,7 @@ class OrderingNode : public Actor {
                    const LocalPart& alpha, std::vector<GammaEntry> gamma,
                    bool reply_from_here);
   void OnExecutedReply(const ExecutorCore::ExecResult& res);
-  void ForwardReplyCert(const ReplyCertMsg& m);
+  void ForwardReplyCert(const MessageRef& msg);
   static std::vector<ShardId> AllShards(const XState& xs);
 
   // ---- cross-cluster: the instance skeleton both families share
@@ -234,7 +248,20 @@ class OrderingNode : public Actor {
   /// initiator enterprise's clusters do (paper §4.3.3 verbatim).
   bool IAmShardAssigner(const CollectionId& c,
                         EnterpriseId initiator_enterprise) const;
+  /// The instance for `d`, created on first sight. A retired digest
+  /// reopens as a done view of its outcome record (a re-decided XOrder,
+  /// say), folded back into the record when the handler returns.
   XState& StateFor(const Sha256Digest& d);
+  /// The instance for `d` while it is live, created on first sight;
+  /// nullptr once it finished, in this handler or an earlier one (its
+  /// outcome record answers for it then). Message handlers check
+  /// provenance first, so a message that fails it creates no instance.
+  XState* LiveState(const Sha256Digest& d);
+  /// Moves every instance finished in this handler into its outcome
+  /// record. Runs when a handler returns, never inside FinishCross:
+  /// callers hold XState references across nested calls (HandleFPropose
+  /// replays a held FCommit, then reads `done`).
+  void RetireFinished();
   /// True if `block` intersects an active *or already-deferred*
   /// cross-shard block in >= 2 shards (§4.3.2). Deferred blocks count so
   /// a later block of the same flow cannot overtake an earlier one and
@@ -248,7 +275,7 @@ class OrderingNode : public Actor {
   /// retry machinery (still pinned in pending_cross_), so re-admission
   /// stays exactly-once.
   void RequeueArbitrationLosers(const XState& winner);
-  void ArmCrossTimer(const Sha256Digest& d);
+  void ArmCrossTimer(XState& xs);
   void RunRetry(uint64_t token);
   /// Timed-out initiator/coordinator primary re-drives an unfinished
   /// cross instance (re-sends PREPARE / PROPOSE); receivers answer with
@@ -453,14 +480,16 @@ class OrderingNode : public Actor {
     SimTime deadline = kNoDeadline;
   };
   std::deque<ProgressCheck> progress_checks_;
-  // Every cross instance this node has seen, finished ones included:
-  // their outcome answers §4.3.4 commit queries.
+  // Live cross instances (plus, until the handler returns, those it
+  // finished), so the deadline and per-commit loser scans touch live
+  // ones only, not the whole run's history.
   std::unordered_map<Sha256Digest, XState, DigestHash> xstates_;
-  // Digests of the instances in xstates_ that are not yet done, so the
-  // per-commit loser scan touches live rivals only, not the whole run's
-  // history. Entered by StateFor, left by FinishCross (the only place
-  // `done` is set).
-  std::unordered_set<Sha256Digest, DigestHash> live_xstates_;
+  // Every finished instance's outcome record: it answers §4.3.4 commit
+  // queries.
+  std::unordered_map<Sha256Digest, XOutcome, DigestHash> finished_;
+  // Instances finished (or reopened) during the current handler, for
+  // RetireFinished.
+  std::vector<Sha256Digest> finishing_;
   // Blocks whose client replies this cluster owns (initiator side).
   std::unordered_set<Sha256Digest, DigestHash> reply_owner_;
   // Reply cache for retransmissions: block digest -> cert msg.

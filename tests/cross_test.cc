@@ -1,12 +1,15 @@
-// Cross-shard conflict resolution (§4.3.5) and pull-based executor state
-// transfer: digest-priority arbitration of symmetric rival claims, loser
-// re-proposal, and the firewall-routed StateRequest/StateReply path a
-// gapped execution node uses to converge.
+// Cross-shard conflict resolution (§4.3.5), cross-instance failure
+// handling and pull-based executor state transfer: digest-priority
+// arbitration of symmetric rival claims, loser re-proposal, the §4.3.4
+// outcome query after a crash in both protocol families, vote provenance
+// before an instance exists, and the firewall-routed
+// StateRequest/StateReply path a gapped execution node uses to converge.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "harness/chaos.h"
 #include "qanaat/system.h"
@@ -149,21 +152,31 @@ TEST(ArbitrationTest, LateRivalYieldsToCommittedWinner) {
 
 // ------------------------------------- cross deadlines across a crash
 
-TEST(CrossTimeoutTest, RecoveredNodeFinishesInstanceItMissedTheCommitOf) {
-  // A node that crashes while a flattened instance is live on it misses
-  // the instance's commit. Its cross deadline survives the crash, so
-  // after recovery it queries the outcome (§4.3.4) and finishes the
-  // instance instead of keeping it live forever.
+std::string FamilyName(
+    const ::testing::TestParamInfo<ProtocolFamily>& info) {
+  return info.param == ProtocolFamily::kCoordinator ? "Coordinator"
+                                                    : "Flattened";
+}
+
+class CrossTimeoutTest : public ::testing::TestWithParam<ProtocolFamily> {};
+
+TEST_P(CrossTimeoutTest, RecoveredNodeFinishesInstanceItMissedTheCommitOf) {
+  // A node that crashes while a cross instance is live on it misses the
+  // instance's commit. Its cross deadline survives the crash, so after
+  // recovery it queries the outcome (§4.3.4) and finishes the instance
+  // instead of keeping it live forever. Its peers answer from the
+  // outcome records their finished instances left behind.
   QanaatSystem::Options so;
   so.params.num_enterprises = 2;
   so.params.shards_per_enterprise = 1;
   so.params.failure_model = FailureModel::kCrash;
-  so.params.family = ProtocolFamily::kFlattened;
+  so.params.family = GetParam();
   so.seed = 5;
   so.cluster_regions = {0, 1};
   QanaatSystem sys(std::move(so));
-  // WAN latency between the enterprises: the propose reaches cluster 1
-  // about 50ms before any commit can.
+  // WAN latency between the enterprises: the propose (flattened) or
+  // prepare (coordinator) reaches cluster 1 at least 50ms before any
+  // commit can.
   sys.net().SetRtt(0, 1, 100 * kMillisecond);
   ClientStub stub(&sys.env());
 
@@ -193,7 +206,10 @@ TEST(CrossTimeoutTest, RecoveredNodeFinishesInstanceItMissedTheCommitOf) {
   EXPECT_GT(sys.env().metrics.Get("cross.query_answered"), 0u);
   for (int c = 0; c < sys.cluster_count(); ++c) {
     for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(sys.ordering_node(c, i)->live_cross_instances(), 0u)
+      const OrderingNode* node = sys.ordering_node(c, i);
+      EXPECT_EQ(node->live_cross_instances(), 0u)
+          << "cluster " << c << " node " << i;
+      EXPECT_EQ(node->finished_cross_instances(), 1u)
           << "cluster " << c << " node " << i;
     }
   }
@@ -203,6 +219,68 @@ TEST(CrossTimeoutTest, RecoveredNodeFinishesInstanceItMissedTheCommitOf) {
   Status st = SafetyAuditor::AuditQanaat(sys, true, &kNone);
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
+
+INSTANTIATE_TEST_SUITE_P(BothFamilies, CrossTimeoutTest,
+                         ::testing::Values(ProtocolFamily::kCoordinator,
+                                           ProtocolFamily::kFlattened),
+                         FamilyName);
+
+// ------------------------------------------- vote provenance first
+
+class ForgedVoteTest : public ::testing::TestWithParam<ProtocolFamily> {};
+
+TEST_P(ForgedVoteTest, NonMemberVotesLeaveNoInstance) {
+  // A node that is no ordering node of any cluster sends 1000 votes for
+  // random block digests: FAccepts (flattened) or signed PREPARED votes
+  // (coordinator). Each fails provenance, and none may leave a cross
+  // instance behind, live or finished — such an instance would never
+  // finish, and every deadline and loser scan would walk it.
+  QanaatSystem::Options so;
+  so.params.num_enterprises = 2;
+  so.params.shards_per_enterprise = 2;
+  so.params.failure_model = FailureModel::kByzantine;
+  so.params.family = GetParam();
+  so.seed = 11;
+  QanaatSystem sys(std::move(so));
+  ClientStub outsider(&sys.env());
+  OrderingNode* target = sys.ordering_node(0, 1);
+
+  constexpr int kVotes = 1000;
+  for (int i = 0; i < kVotes; ++i) {
+    Sha256Digest d = Sha256::Hash("forged-" + std::to_string(i));
+    // A genuine signature of the outsider over the digest: only the
+    // membership check can refuse it.
+    Signature sig = sys.env().keystore.Sign(outsider.id(), d);
+    MessageRef vote;
+    if (GetParam() == ProtocolFamily::kFlattened) {
+      auto acc = std::make_shared<FAcceptMsg>();
+      acc->from_cluster = 0;
+      acc->block_digest = d;
+      acc->sig = sig;
+      vote = acc;
+    } else {
+      auto pd = std::make_shared<XPreparedMsg>();
+      pd->from_cluster = 0;
+      pd->block_digest = d;
+      pd->sig = sig;
+      vote = pd;
+    }
+    sys.net().Send(outsider.id(), target->id(), vote);
+  }
+  sys.env().sim.Run(1 * kSecond);
+
+  const char* refused = GetParam() == ProtocolFamily::kFlattened
+                            ? "cross.bad_accept"
+                            : "cross.bad_prepared_sig";
+  EXPECT_EQ(sys.env().metrics.Get(refused), static_cast<uint64_t>(kVotes));
+  EXPECT_EQ(target->live_cross_instances(), 0u);
+  EXPECT_EQ(target->finished_cross_instances(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothFamilies, ForgedVoteTest,
+                         ::testing::Values(ProtocolFamily::kCoordinator,
+                                           ProtocolFamily::kFlattened),
+                         FamilyName);
 
 // ----------------------------- pull-based executor state transfer
 

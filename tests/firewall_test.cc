@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "qanaat/system.h"
 
 namespace qanaat {
@@ -155,6 +158,50 @@ TEST_F(PfFixture, ReplyCertificatesVerifiableByClients) {
   ASSERT_GT(commits, 0u);
   EXPECT_EQ(sys->env().metrics.Get("client.bad_reply_cert"), 0u);
   EXPECT_EQ(sys->env().metrics.Get("client.short_reply_cert"), 0u);
+}
+
+/// Records the reply certificates delivered to one client machine.
+class CertSink : public Actor {
+ public:
+  explicit CertSink(Env* env) : Actor(env, "cert-sink") {}
+  void OnMessage(NodeId, const MessageRef& msg) override {
+    if (msg->type == MsgType::kReplyCert) certs.push_back(msg);
+  }
+  std::vector<MessageRef> certs;
+};
+
+TEST_F(PfFixture, BackupAnswersRetransmissionWithSharedCachedCert) {
+  // Every ordering node caches the reply certificate the bottom filter
+  // row delivers by sharing the delivered message, not by copying it. A
+  // retransmission to a backup, long after that delivery, is answered
+  // from the cache with one of the very certificates the primary
+  // forwarded.
+  Build();
+  CertSink client(&sys->env());
+  auto req = std::make_shared<RequestMsg>();
+  req->tx.client = client.id();
+  req->tx.client_ts = 1;
+  req->tx.collection = CollectionId(EnterpriseSet{0});
+  req->tx.shards = {0};
+  req->tx.initiator = 0;
+  req->tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+  req->tx.client_sig = sys->env().keystore.Sign(client.id(), req->tx.Digest());
+  const ClusterConfig& cc = sys->directory().Cluster(0);
+  sys->net().Send(client.id(), cc.InitialPrimary(), req);
+  sys->env().sim.Run(500 * kMillisecond);
+  ASSERT_FALSE(client.certs.empty()) << "the request never settled";
+  std::vector<MessageRef> forwarded = client.certs;
+
+  auto retx = std::make_shared<RequestMsg>(*req);
+  retx->is_retransmission = true;
+  sys->net().Send(client.id(), cc.ordering[1], retx);
+  sys->env().sim.Run(1000 * kMillisecond);
+  ASSERT_EQ(client.certs.size(), forwarded.size() + 1);
+  const MessageRef& answer = client.certs.back();
+  EXPECT_NE(std::find(forwarded.begin(), forwarded.end(), answer),
+            forwarded.end())
+      << "the backup answered with a copy, not the delivered certificate";
+  EXPECT_EQ(answer->As<ReplyCertMsg>()->clients.size(), 1u);
 }
 
 TEST_F(PfFixture, ByzantineFilterContainedByRowRedundancy) {
