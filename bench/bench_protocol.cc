@@ -31,7 +31,6 @@
 
 #include "bench_common.h"
 #include "consensus/paxos.h"
-#include "qanaat/system.h"
 #include "sim/network.h"
 
 namespace qanaat {
@@ -193,45 +192,29 @@ struct E2eResult {
   double sim_time_ratio = 0;
 };
 
-/// The fig7-style configuration at a given scale, with the per-cluster
-/// offered load held constant (1875 tps per cluster — 30k tps at 4x4).
+/// The fig7-style configuration (Crd-B) at a given scale, with the
+/// per-cluster offered load held constant (1875 tps per cluster — 30k tps
+/// at 4x4), through the harness every paper bench uses.
 E2eResult RunE2e(int enterprises, int shards) {
-  QanaatSystem::Options opts;
-  opts.params.num_enterprises = enterprises;
-  opts.params.shards_per_enterprise = shards;
-  opts.params.failure_model = FailureModel::kByzantine;
-  opts.params.family = ProtocolFamily::kCoordinator;
-  opts.seed = 1;
-  QanaatSystem sys(std::move(opts));
-
-  WorkloadParams wl;
-  wl.cross_kind = CrossKind::kIntraShardCrossEnterprise;
-  wl.cross_fraction = 0.1;
-
   const int clusters = enterprises * shards;
-  const double offered = 1875.0 * clusters;
-  const int machines = clusters;
-  const SimTime duration = BenchDuration();
-  const SimTime warmup = BenchWarmup();
-  SimTime measure_from = warmup;
-  SimTime measure_to = duration - warmup / 3;
-  for (int i = 0; i < machines; ++i) {
-    ClientMachine* c = sys.AddClient(wl, offered / machines);
-    c->Start(0, duration, measure_from, measure_to);
-  }
+  QanaatRunConfig cfg =
+      MakeQanaatConfig(AllQanaatSeries().front(),
+                       CrossKind::kIntraShardCrossEnterprise, 0.1,
+                       enterprises, shards);
+  cfg.client_machines = clusters;
 
-  auto t0 = std::chrono::steady_clock::now();
   E2eResult r;
-  SimTime run_until = duration + 500 * kMillisecond;
-  r.events = sys.env().sim.Run(run_until);
-  r.wall_s = WallSince(t0);
   r.enterprises = enterprises;
   r.shards = shards;
-  r.offered_tps = offered;
-  double window_s = static_cast<double>(measure_to - measure_from) / kSecond;
-  r.measured_tps = static_cast<double>(sys.TotalMeasuredCommits()) / window_s;
-  r.avg_lat_ms = sys.MergedLatencies().Mean() / 1000.0;
+  auto t0 = std::chrono::steady_clock::now();
+  LoadPoint p = RunQanaatPoint(cfg, 1875.0 * clusters);
+  r.wall_s = WallSince(t0);
+  r.offered_tps = p.offered_tps;
+  r.measured_tps = p.measured_tps;
+  r.avg_lat_ms = p.avg_latency_ms;
+  r.events = p.events;
   r.events_per_sec = static_cast<double>(r.events) / r.wall_s;
+  SimTime run_until = cfg.duration + 500 * kMillisecond;
   r.sim_time_ratio = (static_cast<double>(run_until) / kSecond) / r.wall_s;
   return r;
 }

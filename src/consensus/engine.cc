@@ -1,7 +1,8 @@
-// Certified checkpoints, shared by both internal-consensus engines
-// (paper §4.1 runs PBFT or Multi-Paxos inside each cluster; both need
-// the classic PBFT-style stable checkpoint to garbage-collect slot state
-// and to anchor recovering replicas).
+// The slot pipeline and certified checkpoints, shared by both internal-
+// consensus engines (paper §4.1 runs PBFT or Multi-Paxos inside each
+// cluster). Both queue, pipeline and deliver slots the same way, and both
+// need the classic PBFT-style stable checkpoint to garbage-collect slot
+// state and to anchor recovering replicas.
 //
 // The checkpointed object is the *consensus history*: a digest chained
 // over the value digest of every delivered slot. Unlike the application
@@ -21,6 +22,69 @@ namespace qanaat {
 namespace {
 constexpr uint64_t kHistorySalt = 0x48495354u;  // "HIST"
 }  // namespace
+
+// ---------------------------------------------------------- slot pipeline
+
+void InternalConsensus::Propose(const ConsensusValue& v) {
+  if (!IsPrimary()) {
+    ctx_.env->metrics.Inc(metric_names_.not_primary);
+    return;
+  }
+  // Past the pipelining cap, or while no slot may start (a pre-prepare
+  // in a dying view would be wasted; a Paxos leader still gathering
+  // promises drives nothing), the proposal queues; queued proposals
+  // start as slots decide.
+  if (!MayStartSlot() || AtPipelineCap()) {
+    propose_queue_.push_back(v);
+    ctx_.env->metrics.Inc(metric_names_.queued);
+    return;
+  }
+  OpenSlot(v);
+}
+
+void InternalConsensus::OpenSlot(const ConsensusValue& v) {
+  uint64_t slot = next_slot_++;
+  my_open_slots_.Insert(slot);
+  StartSlot(slot, v);
+}
+
+void InternalConsensus::DrainProposeQueue() {
+  while (!propose_queue_.empty() && IsPrimary() && MayStartSlot() &&
+         !AtPipelineCap()) {
+    ConsensusValue v = std::move(propose_queue_.front());
+    propose_queue_.pop_front();
+    OpenSlot(v);
+  }
+}
+
+void InternalConsensus::DropProposeQueue() {
+  if (propose_queue_.empty()) return;
+  ctx_.env->metrics.Inc(metric_names_.queue_dropped, propose_queue_.size());
+  propose_queue_.clear();
+}
+
+void InternalConsensus::NoteDecided(uint64_t slot) {
+  max_decided_ = std::max(max_decided_, slot);
+  my_open_slots_.Erase(slot);
+}
+
+void InternalConsensus::DeliverReady() {
+  Sha256Digest digest;
+  while (const ConsensusValue* decided =
+             ClaimDecided(last_delivered_ + 1, &digest)) {
+    ++last_delivered_;
+    // Copy the value out before delivering: the host callback can
+    // re-enter the engine (propose, install a checkpoint), and an
+    // insert-triggered rehash of the engine's flat slot map would
+    // invalidate a reference into it mid-call.
+    ConsensusValue v = *decided;
+    ctx_.deliver(last_delivered_, v);
+    NoteDelivered(last_delivered_, digest);
+  }
+  WatchFrontier();
+}
+
+// --------------------------------------------------- certified checkpoints
 
 const Sha256Digest& InternalConsensus::CkptSignableFor(
     uint64_t slot, const Sha256Digest& digest) {
@@ -143,6 +207,7 @@ void InternalConsensus::AdoptStable(const CheckpointCertificate& cert) {
   ckpt_own_.erase(ckpt_own_.begin(), ckpt_own_.upper_bound(cert.slot));
   ckpt_votes_.erase(ckpt_votes_.begin(),
                     ckpt_votes_.upper_bound(cert.slot));
+  my_open_slots_.EraseUpTo(cert.slot);
   GarbageCollectBelow(cert.slot);
   gc_floor_ = cert.slot;
   ctx_.env->metrics.Inc("ckpt.stable");
@@ -153,16 +218,24 @@ bool InternalConsensus::InstallCheckpoint(const CheckpointCertificate& cert) {
     ctx_.env->metrics.Inc("ckpt.invalid_cert");
     return false;
   }
-  bool jumped = cert.slot > LastDelivered();
+  bool jumped = cert.slot > last_delivered_;
   if (jumped) {
     // The host installed the ledger up to the certified frontier; the
     // skipped slots' history is exactly the certified digest.
     ckpt_history_ = cert.digest;
-    AdvanceFrontierTo(cert.slot);
+    last_delivered_ = cert.slot;
+    max_decided_ = std::max(max_decided_, cert.slot);
+    next_slot_ = std::max(next_slot_, cert.slot + 1);
     ctx_.env->metrics.Inc("ckpt.installed_via_transfer");
   }
   if (cert.slot > stable_.slot) AdoptStable(cert);
-  if (jumped) ResumeAfterInstall();
+  if (jumped) {
+    // Slots above the checkpoint may already be decided locally (they
+    // arrived while the transfer ran): flush them, then the queue.
+    DeliverReady();
+    ResumeAfterInstall();
+    DrainProposeQueue();
+  }
   return true;
 }
 

@@ -2,9 +2,11 @@
 #define QANAAT_CONSENSUS_ENGINE_H_
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -185,19 +187,42 @@ struct EngineContext {
   std::function<void(ViewNo view, NodeId new_primary)> on_view_change;
 };
 
+/// Names of an engine's pipeline metrics. Each engine keeps its own
+/// (`pbft.*`, `paxos.*`), so counters read the same under either.
+struct PipelineMetricNames {
+  std::string not_primary;    // Propose called on a non-primary
+  std::string queued;         // proposal queued behind the pipeline
+  std::string queue_dropped;  // queued proposals dropped on leader change
+};
+
 /// Pluggable intra-cluster consensus (paper §4.1): PBFT when the cluster
 /// declares the Byzantine failure model, Multi-Paxos when crash-only.
+///
+/// The two engines differ only in their rounds and their leader change;
+/// how a leader queues, pipelines and delivers slots lives here, once.
+///
+/// Pipelining: the primary keeps up to `ctx.pipeline_depth` slots in
+/// flight (proposed but not yet decided), each in its own round
+/// exchange; proposals beyond the cap — or arriving while the engine may
+/// not start a slot (PBFT mid view change, Paxos before its phase-1
+/// completes) — queue here and start as earlier slots decide. Slots
+/// still *deliver* strictly in order, so pipelined rounds overlap network
+/// latency without reordering execution. Queued proposals are dropped
+/// when leadership moves (clients recover them by retransmitting to the
+/// new primary). 0 = unbounded.
 class InternalConsensus {
  public:
-  InternalConsensus(EngineContext ctx, SimTime base_timeout_us)
+  InternalConsensus(EngineContext ctx, SimTime base_timeout_us,
+                    PipelineMetricNames metric_names)
       : ctx_(std::move(ctx)),
         base_timeout_(base_timeout_us),
-        watchdog_(&ctx_.env->sim, kTagWatchdog, ctx_.start_timer) {}
+        watchdog_(&ctx_.env->sim, kTagWatchdog, ctx_.start_timer),
+        metric_names_(std::move(metric_names)) {}
   virtual ~InternalConsensus() = default;
 
   /// Primary-side: order `v`. No-op with a warning metric if called on a
   /// non-primary.
-  virtual void Propose(const ConsensusValue& v) = 0;
+  void Propose(const ConsensusValue& v);
 
   /// Feed a consensus protocol message from `from`.
   virtual void OnMessage(NodeId from, const MessageRef& msg) = 0;
@@ -240,13 +265,13 @@ class InternalConsensus {
 
   /// Highest slot this node has delivered (consensus progress counter;
   /// hosts use it to distinguish a dead primary from a parked request).
-  virtual uint64_t LastDelivered() const { return 0; }
+  uint64_t LastDelivered() const { return last_delivered_; }
 
-  /// Slots this node proposed that have not yet committed (primary side;
+  /// Slots this node proposed that have not yet decided (primary side;
   /// bounded by ctx_.pipeline_depth when that is non-zero).
-  virtual size_t InFlight() const { return 0; }
+  size_t InFlight() const { return my_open_slots_.size(); }
   /// Proposals waiting behind the pipeline-depth cap.
-  virtual size_t QueuedProposals() const { return 0; }
+  size_t QueuedProposals() const { return propose_queue_.size(); }
 
   // ---- certified checkpoints (shared by both engines) -----------------
 
@@ -277,9 +302,39 @@ class InternalConsensus {
   size_t ClusterSize() const { return ctx_.cluster.size(); }
   SimTime Now() const { return ctx_.env->sim.now(); }
 
-  /// Folds a delivered slot into the history digest; at interval
-  /// boundaries broadcasts a CHECKPOINT vote (and self-tallies it).
-  void NoteDelivered(uint64_t slot, const Sha256Digest& value_digest);
+  // ---- slot pipeline (shared by both engines) ------------------------
+
+  /// Engine hook: may the primary start a slot now? (PBFT: not in a view
+  /// change; Paxos: phase-1 complete.) Otherwise proposals queue.
+  virtual bool MayStartSlot() const = 0;
+  /// Engine hook: run the first round for `v` in the freshly opened
+  /// `slot` (already counted in flight).
+  virtual void StartSlot(uint64_t slot, const ConsensusValue& v) = 0;
+  /// Engine hook: if `slot` is decided and not yet delivered, mark it
+  /// delivered, store its value digest in *digest and return its value
+  /// (read before the engine runs again); nullptr otherwise.
+  virtual const ConsensusValue* ClaimDecided(uint64_t slot,
+                                             Sha256Digest* digest) = 0;
+  /// Engine hook, after every delivery pass: arm the gap deadline when a
+  /// decided slot sits beyond an undelivered frontier (the frontier
+  /// slot's messages were lost, and nothing retransmits them).
+  virtual void WatchFrontier() = 0;
+
+  bool AtPipelineCap() const {
+    return ctx_.pipeline_depth > 0 &&
+           my_open_slots_.size() >= ctx_.pipeline_depth;
+  }
+  /// Starts queued proposals while the engine may and the cap allows.
+  void DrainProposeQueue();
+  /// Leadership moved: queued proposals were accepted under a leader that
+  /// no longer drives them, and re-proposing them later could duplicate
+  /// what an interim leader committed (clients retransmit instead).
+  void DropProposeQueue();
+  /// `slot` decided: it leaves the open set and raises max_decided_.
+  void NoteDecided(uint64_t slot);
+  /// Delivers every decided slot at the frontier, in slot order.
+  void DeliverReady();
+
   /// Feeds a CHECKPOINT message: a carried certificate is processed
   /// directly; a vote is verified and tallied toward stability.
   void HandleCheckpoint(NodeId from, const CheckpointMsg& m);
@@ -289,11 +344,8 @@ class InternalConsensus {
   virtual bool CheapCheckpointAuth() const { return false; }
   /// Engine hook: drop per-slot consensus state at or below `slot`.
   virtual void GarbageCollectBelow(uint64_t slot) = 0;
-  /// Engine hook: jump the delivery frontier to the certified `slot`
-  /// (the host already installed the application state).
-  virtual void AdvanceFrontierTo(uint64_t slot) = 0;
-  /// Engine hook: flush deliveries/proposals unblocked by an installed
-  /// checkpoint (committed slots above it, queued proposals).
+  /// Engine hook: an installed checkpoint moved the delivery frontier and
+  /// the deliveries it unblocked ran; queued proposals drain next.
   virtual void ResumeAfterInstall() {}
   /// Watchdog firing: acts on every deadline expired by `now` and returns
   /// the earliest one left.
@@ -305,7 +357,21 @@ class InternalConsensus {
   /// guards (a slot, a gap, a view change or takeover in progress).
   Watchdog watchdog_;
 
+  uint64_t next_slot_ = 1;  // primary's next proposal slot
+  uint64_t last_delivered_ = 0;
+  uint64_t max_decided_ = 0;  // highest slot decided locally
+  /// Slots this node proposed (or re-drove) that have not decided yet,
+  /// and proposals queued behind the pipeline-depth cap.
+  SortedVec<uint64_t> my_open_slots_;
+  std::deque<ConsensusValue> propose_queue_;
+
  private:
+  /// Opens the next slot and hands it to StartSlot.
+  void OpenSlot(const ConsensusValue& v);
+  /// Folds a delivered slot into the history digest; at interval
+  /// boundaries broadcasts a CHECKPOINT vote (and self-tallies it).
+  void NoteDelivered(uint64_t slot, const Sha256Digest& value_digest);
+
   /// Single-entry memo for CheckpointSignable(slot, digest): votes for
   /// one boundary arrive in a burst (own sign + one verify per peer), so
   /// the same signable is derived N+1 times per interval without it.
@@ -334,6 +400,7 @@ class InternalConsensus {
   uint64_t ckpt_signable_slot_ = 0;
   Sha256Digest ckpt_signable_for_;
   Sha256Digest ckpt_signable_;
+  PipelineMetricNames metric_names_;
 };
 
 }  // namespace qanaat

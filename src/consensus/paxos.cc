@@ -5,26 +5,14 @@
 namespace qanaat {
 
 PaxosEngine::PaxosEngine(EngineContext ctx, int f, SimTime base_timeout_us)
-    : InternalConsensus(std::move(ctx), base_timeout_us), f_(f) {
+    : InternalConsensus(std::move(ctx), base_timeout_us,
+                        {"paxos.propose_on_follower", "paxos.proposal_queued",
+                         "paxos.queue_dropped_on_takeover"}),
+      f_(f) {
   slots_.reserve(1 << 12);
   // Ballot 0 belongs to index 0 with an empty history: it leads from the
   // start without a phase-1.
   leading_ = (ctx_.cluster[0] == ctx_.self);
-}
-
-void PaxosEngine::Propose(const ConsensusValue& v) {
-  if (!IsPrimary()) {
-    ctx_.env->metrics.Inc("paxos.propose_on_follower");
-    return;
-  }
-  // Queue while phase-1 is still gathering promises, and past the
-  // pipelining cap; queued proposals start as slots learn.
-  if (!leading_ || AtPipelineCap()) {
-    propose_queue_.push_back(v);
-    ctx_.env->metrics.Inc("paxos.proposal_queued");
-    return;
-  }
-  StartSlot(v);
 }
 
 void PaxosEngine::BroadcastAccept(uint64_t slot, const SlotState& st) {
@@ -37,15 +25,13 @@ void PaxosEngine::BroadcastAccept(uint64_t slot, const SlotState& st) {
   ctx_.broadcast(acc);
 }
 
-void PaxosEngine::StartSlot(const ConsensusValue& v) {
-  uint64_t slot = next_slot_++;
+void PaxosEngine::StartSlot(uint64_t slot, const ConsensusValue& v) {
   SlotState& st = slots_[slot];
   st.ballot = ballot_;
   st.value = v;
   st.digest = v.Digest();
   st.have_value = true;
   st.accepted.Insert(ctx_.self);
-  my_open_slots_.Insert(slot);
 
   BroadcastAccept(slot, st);
   ArmSlotTimer(st);
@@ -59,18 +45,8 @@ void PaxosEngine::StartSlot(const ConsensusValue& v) {
 
 void PaxosEngine::MarkLearned(uint64_t slot, SlotState& st) {
   st.learned = true;
-  max_learned_ = std::max(max_learned_, slot);
-  my_open_slots_.Erase(slot);
+  NoteDecided(slot);
   DrainProposeQueue();
-}
-
-void PaxosEngine::DrainProposeQueue() {
-  while (!propose_queue_.empty() && IsPrimary() && leading_ &&
-         !AtPipelineCap()) {
-    ConsensusValue v = std::move(propose_queue_.front());
-    propose_queue_.pop_front();
-    StartSlot(v);
-  }
 }
 
 void PaxosEngine::OnMessage(NodeId from, const MessageRef& msg) {
@@ -96,13 +72,6 @@ void PaxosEngine::OnMessage(NodeId from, const MessageRef& msg) {
     default:
       break;
   }
-}
-
-void PaxosEngine::DropProposeQueue() {
-  if (propose_queue_.empty()) return;
-  ctx_.env->metrics.Inc("paxos.queue_dropped_on_takeover",
-                        propose_queue_.size());
-  propose_queue_.clear();
 }
 
 void PaxosEngine::ObserveBallot(uint64_t b) {
@@ -211,62 +180,38 @@ void PaxosEngine::HandleLearn(NodeId from, const PaxosLearnMsg& m) {
   DeliverReady();
 }
 
-void PaxosEngine::DeliverReady() {
-  while (true) {
-    auto it = slots_.find(last_delivered_ + 1);
-    if (it == slots_.end() || !it->second.learned || it->second.delivered ||
-        !it->second.have_value) {
-      break;
-    }
-    it->second.delivered = true;
-    ++last_delivered_;
-    uint64_t slot = it->first;
-    Sha256Digest vd = it->second.digest;
-    // Copy the value out before delivering: the host callback can
-    // re-enter the engine (propose, install a checkpoint), and an
-    // insert-triggered rehash of the flat slot map would invalidate a
-    // reference into it mid-call.
-    ConsensusValue v = it->second.value;
-    ctx_.deliver(slot, v);
-    NoteDelivered(last_delivered_, vd);
+const ConsensusValue* PaxosEngine::ClaimDecided(uint64_t slot,
+                                                Sha256Digest* digest) {
+  auto it = slots_.find(slot);
+  if (it == slots_.end() || !it->second.learned || it->second.delivered ||
+      !it->second.have_value) {
+    return nullptr;
   }
-  MaybeArmGapTimer();
+  it->second.delivered = true;
+  *digest = it->second.digest;
+  return &it->second.value;
 }
 
 void PaxosEngine::GarbageCollectBelow(uint64_t slot) {
   for (auto it = slots_.begin(); it != slots_.end();) {
     it = it->first <= slot ? slots_.erase(it) : std::next(it);
   }
-  my_open_slots_.EraseUpTo(slot);
   for (auto it = gathered_.begin(); it != gathered_.end();) {
     it = it->first <= slot ? gathered_.erase(it) : std::next(it);
   }
 }
 
-void PaxosEngine::AdvanceFrontierTo(uint64_t slot) {
-  last_delivered_ = slot;
-  max_learned_ = std::max(max_learned_, slot);
-  next_slot_ = std::max(next_slot_, slot + 1);
-}
-
 void PaxosEngine::ResumeAfterInstall() {
-  DeliverReady();
-  // A takeover parked behind the transfer can finish now: the certified
-  // frontier is installed, so phase-1 no longer spans GC'd slots.
+  // The certified frontier is installed, so phase-1 no longer spans
+  // GC'd slots.
   if (awaiting_transfer_ <= last_delivered_ && !leading_ && IsPrimary() &&
       promises_.size() >= Quorum()) {
     FinishTakeover();
   }
-  DrainProposeQueue();
 }
 
-void PaxosEngine::MaybeArmGapTimer() {
-  // Stalled iff a learned slot sits beyond the undelivered frontier: the
-  // frontier slot's ACCEPT/LEARN were lost while this node was crashed,
-  // partitioned, or unlucky — and no slot timer exists for a slot we
-  // never heard of. Take over after a timeout: phase-1 promises carry
-  // every accepted value above our frontier, closing the gap.
-  if (gap_deadline_ != kNoDeadline || max_learned_ <= last_delivered_ + 1) {
+void PaxosEngine::WatchFrontier() {
+  if (gap_deadline_ != kNoDeadline || max_decided_ <= last_delivered_ + 1) {
     return;
   }
   auto it = slots_.find(last_delivered_ + 1);
@@ -297,7 +242,7 @@ SimTime PaxosEngine::OnDeadlines(SimTime now) {
   if (gap_deadline_ <= now) {
     gap_deadline_ = kNoDeadline;
     if (last_delivered_ != gap_mark_) {
-      MaybeArmGapTimer();  // progressed; keep watching
+      WatchFrontier();  // progressed; keep watching
     } else {
       ctx_.env->metrics.Inc("paxos.gap_takeover");
       take_over = true;

@@ -1,7 +1,6 @@
 #ifndef QANAAT_CONSENSUS_PAXOS_H_
 #define QANAAT_CONSENSUS_PAXOS_H_
 
-#include <deque>
 #include <unordered_map>
 
 #include "consensus/engine.h"
@@ -24,17 +23,12 @@ namespace qanaat {
 /// (as a naive "bump the ballot and re-send" takeover does) lets two
 /// replicas learn different values for one slot — a divergence the chaos
 /// harness reproduces deterministically. Messages are MAC-authenticated
-/// (no signature verification cost).
-///
-/// Pipelining: the leader keeps up to `ctx.pipeline_depth` slots in
-/// flight (accepted but not yet learned); excess proposals queue inside
-/// the engine and start as earlier slots learn. Delivery stays in slot
-/// order. 0 = unbounded.
+/// (no signature verification cost). Pipelining and in-order delivery
+/// are InternalConsensus's.
 class PaxosEngine : public InternalConsensus {
  public:
   PaxosEngine(EngineContext ctx, int f, SimTime base_timeout_us);
 
-  void Propose(const ConsensusValue& v) override;
   void OnMessage(NodeId from, const MessageRef& msg) override;
   void SuspectPrimary() override;
 
@@ -50,24 +44,27 @@ class PaxosEngine : public InternalConsensus {
   /// clusters sign at the sending node instead. Returns an empty proof.
   std::vector<Signature> CommitProof(uint64_t) const override { return {}; }
 
-  uint64_t last_delivered() const { return last_delivered_; }
-  uint64_t LastDelivered() const override { return last_delivered_; }
-  size_t InFlight() const override { return my_open_slots_.size(); }
-  size_t QueuedProposals() const override { return propose_queue_.size(); }
   /// Phase-1 complete for the current ballot (we may drive slots).
   bool leading() const { return leading_; }
 
   bool HasSlotState(uint64_t slot) const override {
     return slots_.find(slot) != slots_.end();
   }
-  size_t retained_slots() const { return slots_.size(); }
 
  protected:
   /// CFT clusters authenticate with MACs; checkpoint votes are free to
   /// verify like every other Paxos message.
   bool CheapCheckpointAuth() const override { return true; }
+  bool MayStartSlot() const override { return leading_; }
+  void StartSlot(uint64_t slot, const ConsensusValue& v) override;
+  const ConsensusValue* ClaimDecided(uint64_t slot,
+                                     Sha256Digest* digest) override;
+  /// No slot timer exists for a slot we never heard of, so a gap is
+  /// closed by a takeover: phase-1 promises carry every accepted value
+  /// above our frontier.
+  void WatchFrontier() override;
   void GarbageCollectBelow(uint64_t slot) override;
-  void AdvanceFrontierTo(uint64_t slot) override;
+  /// A takeover parked behind the transfer can finish now.
   void ResumeAfterInstall() override;
   SimTime OnDeadlines(SimTime now) override;
 
@@ -92,20 +89,12 @@ class PaxosEngine : public InternalConsensus {
   void HandleLearn(NodeId from, const PaxosLearnMsg& m);
   void HandlePrepare(NodeId from, const PaxosPrepareMsg& m);
   void HandlePromise(NodeId from, const PaxosPromiseMsg& m);
-  void DeliverReady();
   // Handlers thread the SlotState& they already hold (one hash lookup
   // per message) instead of re-looking the slot up in every helper.
   void ArmSlotTimer(SlotState& st);
-  void MaybeArmGapTimer();
   /// At the takeover deadline: re-solicit promises if phase-1 stalled.
   void RetryTakeover();
-  bool AtPipelineCap() const {
-    return ctx_.pipeline_depth > 0 &&
-           my_open_slots_.size() >= ctx_.pipeline_depth;
-  }
-  void StartSlot(const ConsensusValue& v);
   void MarkLearned(uint64_t slot, SlotState& st);
-  void DrainProposeQueue();
   /// Ballot takeover phase-1: claim a ballot we own and solicit promises.
   void TakeOver();
   /// Phase-1 quorum reached: adopt gathered values, fill holes with
@@ -117,7 +106,6 @@ class PaxosEngine : public InternalConsensus {
   /// Adopts a higher observed ballot; drops leadership and the propose
   /// queue when that moves leadership away from this node.
   void ObserveBallot(uint64_t b);
-  void DropProposeQueue();
 
   int f_;
   uint64_t ballot_ = 0;
@@ -126,9 +114,6 @@ class PaxosEngine : public InternalConsensus {
   /// Phase-1 complete for ballot_ with us as leader. The initial leader
   /// (index 0, ballot 0) starts leading: there is no history to gather.
   bool leading_ = false;
-  uint64_t next_slot_ = 1;
-  uint64_t last_delivered_ = 0;
-  uint64_t max_learned_ = 0;
   // Frontier stuck while later slots learned: the missing slot's
   // messages are gone (nothing retransmits them), so at this deadline take
   // over — the phase-1 promises carry every accepted value above our
@@ -151,10 +136,6 @@ class PaxosEngine : public InternalConsensus {
   // Phase-1 state for ballot_ (valid while !leading_ and we own ballot_).
   SortedVec<NodeId> promises_;
   std::unordered_map<uint64_t, PaxosAcceptedSlot> gathered_;
-  // Pipelining: slots we drove that are not learned yet, and proposals
-  // queued behind the pipeline-depth cap.
-  SortedVec<uint64_t> my_open_slots_;
-  std::deque<ConsensusValue> propose_queue_;
 };
 
 }  // namespace qanaat

@@ -5,7 +5,10 @@
 namespace qanaat {
 
 PbftEngine::PbftEngine(EngineContext ctx, int f, SimTime base_timeout_us)
-    : InternalConsensus(std::move(ctx), base_timeout_us), f_(f) {
+    : InternalConsensus(std::move(ctx), base_timeout_us,
+                        {"pbft.propose_on_backup", "pbft.proposal_queued",
+                         "pbft.queue_dropped_on_view_change"}),
+      f_(f) {
   slots_.reserve(1 << 12);
 }
 
@@ -82,45 +85,18 @@ void PbftEngine::SendPrePrepare(uint64_t slot, SlotState& st) {
   }
 }
 
-void PbftEngine::Propose(const ConsensusValue& v) {
-  if (!IsPrimary()) {
-    ctx_.env->metrics.Inc("pbft.propose_on_backup");
-    return;
-  }
-  // Pipelining: cap concurrently open slots; excess proposals queue and
-  // start as earlier slots commit. A proposal arriving mid-view-change
-  // also queues (a pre-prepare in a dying view would be wasted).
-  if (AtPipelineCap() || in_view_change_) {
-    propose_queue_.push_back(v);
-    ctx_.env->metrics.Inc("pbft.proposal_queued");
-    return;
-  }
-  StartSlot(v);
-}
-
-void PbftEngine::StartSlot(const ConsensusValue& v) {
-  uint64_t slot = next_slot_++;
+void PbftEngine::StartSlot(uint64_t slot, const ConsensusValue& v) {
   SlotState& st = slots_[slot];
   st.view = view_;
   st.value = v;
   st.digest = v.Digest();
   st.have_preprepare = true;
-  my_open_slots_.Insert(slot);
   SendPrePrepare(slot, st);
   // The primary's own PREPARE is implicit in the PRE-PREPARE; the slot
   // memo filled by SendPrePrepare makes this signable a hit.
   st.prepares.Put(ctx_.self, ctx_.env->keystore.Sign(
       ctx_.self, st.signable.Get(view_, slot, st.digest)));
   ArmSlotTimer(st);
-}
-
-void PbftEngine::DrainProposeQueue() {
-  while (!propose_queue_.empty() && IsPrimary() && !in_view_change_ &&
-         !AtPipelineCap()) {
-    ConsensusValue v = std::move(propose_queue_.front());
-    propose_queue_.pop_front();
-    StartSlot(v);
-  }
 }
 
 void PbftEngine::ArmSlotTimer(SlotState& st) {
@@ -180,10 +156,10 @@ void PbftEngine::FillGap() {
   gap_deadline_ = kNoDeadline;
   if (last_delivered_ > gap_mark_) {
     fill_stalls_ = 0;
-    MaybeRequestFill();  // progressed on its own; recheck later
+    WatchFrontier();  // progressed on its own; recheck later
     return;
   }
-  if (max_committed_ <= last_delivered_) return;
+  if (max_decided_ <= last_delivered_) return;
   if (++fill_stalls_ > 3 && ctx_.request_state_transfer) {
     // Per-slot fills are going nowhere — the missing slots may be below
     // every live peer's GC floor. Escalate to state transfer.
@@ -194,11 +170,11 @@ void PbftEngine::FillGap() {
     ctx_.env->metrics.Inc("pbft.fill_requested");
     auto req = std::make_shared<FillRequestMsg>();
     req->from_slot = last_delivered_ + 1;
-    req->to_slot = std::min(max_committed_, last_delivered_ + 16);
+    req->to_slot = std::min(max_decided_, last_delivered_ + 16);
     NodeId peer = NextPeer(&fill_rr_);
     if (peer != ctx_.self) ctx_.send(peer, req);
   }
-  MaybeRequestFill();  // re-arm until the gap closes
+  WatchFrontier();  // re-arm until the gap closes
 }
 
 void PbftEngine::FetchView() {
@@ -422,61 +398,34 @@ void PbftEngine::MaybeCommitted(uint64_t slot, SlotState& st) {
   if (st.committed || !st.prepared) return;
   if (st.commits.size() < Quorum()) return;
   st.committed = true;
-  max_committed_ = std::max(max_committed_, slot);
-  my_open_slots_.Erase(slot);
+  NoteDecided(slot);
   DeliverReady();
   DrainProposeQueue();
 }
 
-void PbftEngine::DeliverReady() {
-  while (true) {
-    auto it = slots_.find(last_delivered_ + 1);
-    if (it == slots_.end() || !it->second.committed ||
-        it->second.delivered) {
-      break;
-    }
-    it->second.delivered = true;
-    ++last_delivered_;
-    fill_stalls_ = 0;
-    uint64_t slot = it->first;
-    Sha256Digest vd = it->second.digest;
-    // Copy the value out before delivering: the host callback can
-    // re-enter the engine (propose, install a checkpoint), and an
-    // insert-triggered rehash of the flat slot map would invalidate a
-    // reference into it mid-call.
-    ConsensusValue v = it->second.value;
-    ctx_.deliver(slot, v);
-    NoteDelivered(last_delivered_, vd);
+const ConsensusValue* PbftEngine::ClaimDecided(uint64_t slot,
+                                               Sha256Digest* digest) {
+  auto it = slots_.find(slot);
+  if (it == slots_.end() || !it->second.committed || it->second.delivered) {
+    return nullptr;
   }
-  MaybeRequestFill();
+  it->second.delivered = true;
+  fill_stalls_ = 0;
+  *digest = it->second.digest;
+  return &it->second.value;
 }
 
 void PbftEngine::GarbageCollectBelow(uint64_t slot) {
   for (auto it = slots_.begin(); it != slots_.end();) {
     it = it->first <= slot ? slots_.erase(it) : std::next(it);
   }
-  my_open_slots_.EraseUpTo(slot);
 }
 
-void PbftEngine::AdvanceFrontierTo(uint64_t slot) {
-  last_delivered_ = slot;
-  max_committed_ = std::max(max_committed_, slot);
-  next_slot_ = std::max(next_slot_, slot + 1);
-  fill_stalls_ = 0;
-}
-
-void PbftEngine::ResumeAfterInstall() {
-  // Slots above the installed checkpoint may already be committed
-  // locally (they arrived while the transfer ran) — flush them now.
-  DeliverReady();
-  DrainProposeQueue();
-}
-
-void PbftEngine::MaybeRequestFill() {
+void PbftEngine::WatchFrontier() {
   // Stalled iff some slot committed locally beyond an undelivered
   // frontier — the frontier slot's messages are gone for good (nothing
   // in PBFT retransmits them), so fetch the decisions from a peer.
-  if (gap_deadline_ != kNoDeadline || max_committed_ <= last_delivered_) {
+  if (gap_deadline_ != kNoDeadline || max_decided_ <= last_delivered_) {
     return;
   }
   gap_deadline_ = Now() + base_timeout_ / 2;
@@ -579,8 +528,7 @@ void PbftEngine::HandleFillReply(NodeId from, const FillReplyMsg& m) {
   st.prepared = true;
   st.committed = true;
   for (const auto& sig : m.commit_proof) st.commits.Put(sig.signer, sig);
-  max_committed_ = std::max(max_committed_, m.slot);
-  my_open_slots_.Erase(m.slot);
+  NoteDecided(m.slot);
   DeliverReady();
   DrainProposeQueue();
 }
@@ -751,11 +699,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
   // is primary again now, the intervening views may have committed them
   // via client retransmission, so re-proposing would duplicate them.
   // Drop unconditionally — clients retransmit whatever really was lost.
-  if (!propose_queue_.empty()) {
-    ctx_.env->metrics.Inc("pbft.queue_dropped_on_view_change",
-                          propose_queue_.size());
-    propose_queue_.clear();
-  }
+  DropProposeQueue();
   if (ctx_.on_view_change) {
     ctx_.on_view_change(view_, ctx_.cluster[view_ % ClusterSize()]);
   }

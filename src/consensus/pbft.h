@@ -1,7 +1,6 @@
 #ifndef QANAAT_CONSENSUS_PBFT_H_
 #define QANAAT_CONSENSUS_PBFT_H_
 
-#include <deque>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -24,19 +23,11 @@ namespace qanaat {
 /// before commit) broadcasts VIEW-CHANGE carrying its prepared proofs;
 /// the new primary collects 2f+1, broadcasts NEW-VIEW re-proposing every
 /// prepared slot, and timeouts double on consecutive failures (§4.3.4).
-///
-/// Pipelining: the primary runs up to `ctx.pipeline_depth` slots
-/// concurrently (each in its own PRE-PREPARE/PREPARE/COMMIT exchange);
-/// proposals beyond the cap queue inside the engine and start as earlier
-/// slots commit. Slots still *deliver* strictly in order, so pipelined
-/// rounds overlap network latency without reordering execution. Queued
-/// proposals are dropped if leadership moves (clients recover them by
-/// retransmitting to the new primary).
+/// Pipelining and in-order delivery are InternalConsensus's.
 class PbftEngine : public InternalConsensus {
  public:
   PbftEngine(EngineContext ctx, int f, SimTime base_timeout_us);
 
-  void Propose(const ConsensusValue& v) override;
   void OnMessage(NodeId from, const MessageRef& msg) override;
   void SuspectPrimary() override;
   void OnHostRecover() override;
@@ -51,11 +42,7 @@ class PbftEngine : public InternalConsensus {
   size_t Quorum() const override { return 2 * static_cast<size_t>(f_) + 1; }
   std::vector<Signature> CommitProof(uint64_t slot) const override;
 
-  uint64_t last_delivered() const { return last_delivered_; }
-  uint64_t LastDelivered() const override { return last_delivered_; }
   uint64_t view_changes() const { return view_change_count_; }
-  size_t InFlight() const override { return my_open_slots_.size(); }
-  size_t QueuedProposals() const override { return propose_queue_.size(); }
 
   /// Byzantine-primary fault injection: when set, PRE-PREPAREs are
   /// equivocated (different digests to different replicas), which correct
@@ -65,12 +52,17 @@ class PbftEngine : public InternalConsensus {
   bool HasSlotState(uint64_t slot) const override {
     return slots_.count(slot) > 0;
   }
-  size_t retained_slots() const { return slots_.size(); }
 
  protected:
+  bool MayStartSlot() const override { return !in_view_change_; }
+  void StartSlot(uint64_t slot, const ConsensusValue& v) override;
+  const ConsensusValue* ClaimDecided(uint64_t slot,
+                                     Sha256Digest* digest) override;
+  /// PBFT retransmits nothing by itself: without the fill protocol
+  /// (FillGap) a stalled node would permanently shrink the live quorum.
+  void WatchFrontier() override;
   void GarbageCollectBelow(uint64_t slot) override;
-  void AdvanceFrontierTo(uint64_t slot) override;
-  void ResumeAfterInstall() override;
+  void ResumeAfterInstall() override { fill_stalls_ = 0; }
   SimTime OnDeadlines(SimTime now) override;
 
  private:
@@ -99,12 +91,6 @@ class PbftEngine : public InternalConsensus {
   void HandleNewView(NodeId from, const NewViewMsg& m);
   void HandleFillRequest(NodeId from, const FillRequestMsg& m);
   void HandleFillReply(NodeId from, const FillReplyMsg& m);
-  /// Sets the gap deadline when a committed slot sits beyond a stuck
-  /// delivery frontier (the missing slot's messages were lost — e.g.
-  /// while this node was crashed or partitioned). PBFT retransmits
-  /// nothing by itself, so without the fill protocol this node would
-  /// stall forever and permanently shrink the live quorum.
-  void MaybeRequestFill();
   /// At the gap deadline: ask a peer for the decided slots.
   void FillGap();
   /// Sets the view-fetch deadline while messages for a future view are
@@ -127,13 +113,6 @@ class PbftEngine : public InternalConsensus {
 
   void MaybePrepared(uint64_t slot, SlotState& st);
   void MaybeCommitted(uint64_t slot, SlotState& st);
-  void DeliverReady();
-  bool AtPipelineCap() const {
-    return ctx_.pipeline_depth > 0 &&
-           my_open_slots_.size() >= ctx_.pipeline_depth;
-  }
-  void StartSlot(const ConsensusValue& v);
-  void DrainProposeQueue();
   void ArmSlotTimer(SlotState& st);
   void StartViewChange(ViewNo target, bool lone_suspicion);
   void SendPrePrepare(uint64_t slot, SlotState& st);
@@ -143,9 +122,6 @@ class PbftEngine : public InternalConsensus {
 
   int f_;
   ViewNo view_ = 0;
-  uint64_t next_slot_ = 1;       // primary's next proposal slot
-  uint64_t last_delivered_ = 0;
-  uint64_t max_committed_ = 0;   // highest locally committed slot
   // Gap deadline, and the frontier it was set at.
   SimTime gap_deadline_ = kNoDeadline;
   uint64_t gap_mark_ = 0;
@@ -164,10 +140,6 @@ class PbftEngine : public InternalConsensus {
   // sort the keys so emitted message contents keep the exact order the
   // ordered map produced.
   std::unordered_map<uint64_t, SlotState> slots_;
-  // Pipelining: slots we proposed that have not committed yet, and
-  // proposals queued behind the pipeline-depth cap.
-  SortedVec<uint64_t> my_open_slots_;
-  std::deque<ConsensusValue> propose_queue_;
   // View-change bookkeeping: new_view -> sender -> message
   std::map<ViewNo, std::map<NodeId, std::shared_ptr<const ViewChangeMsg>>>
       view_changes_rcvd_;

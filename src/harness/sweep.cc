@@ -92,9 +92,8 @@ LoadPoint RunQanaatPoint(const QanaatRunConfig& cfg, double offered_tps) {
     }
     c->Start(0, cfg.duration, measure_from, measure_to);
   }
-  sys.env().sim.Run(cfg.duration + 500 * kMillisecond);
-
   LoadPoint p;
+  p.events = sys.env().sim.Run(cfg.duration + 500 * kMillisecond);
   p.offered_tps = offered_tps;
   double window_s =
       static_cast<double>(measure_to - measure_from) / kSecond;
@@ -198,9 +197,8 @@ LoadPoint RunFabricPoint(const FabricRunConfig& cfg, double offered_tps) {
       }
     }
   }
-  sys.env().sim.Run(cfg.duration + 500 * kMillisecond);
-
   LoadPoint p;
+  p.events = sys.env().sim.Run(cfg.duration + 500 * kMillisecond);
   p.offered_tps = offered_tps;
   double window_s =
       static_cast<double>(measure_to - measure_from) / kSecond;

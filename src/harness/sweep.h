@@ -18,6 +18,7 @@ struct LoadPoint {
   double measured_tps = 0;
   double avg_latency_ms = 0;
   double p99_latency_ms = 0;
+  uint64_t events = 0;  // simulator events the run executed
 };
 
 /// Result of a saturation sweep: the full curve plus the knee — the

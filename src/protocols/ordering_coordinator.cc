@@ -65,6 +65,24 @@ std::shared_ptr<XPreparedMsg> OrderingNode::MakeNodePrepared(
   return pd;
 }
 
+std::shared_ptr<XCommitMsg> OrderingNode::MakeXCommit(
+    const BlockPtr& block, const Sha256Digest& d,
+    const CommitCertificate& cert, bool abort,
+    const std::vector<ShardAssignment>& assignments) const {
+  auto cm = std::make_shared<XCommitMsg>();
+  if (abort) cm->type = MsgType::kXAbort;
+  cm->coord_cluster = cfg_.cluster_id;
+  cm->block = block;
+  cm->block_digest = d;
+  cm->coord_cert = cert;
+  cm->is_abort = abort;
+  cm->assignments = assignments;
+  cm->wire_bytes = 128 + cert.WireSize() +
+                   static_cast<uint32_t>(assignments.size()) * 48;
+  cm->sig_verify_ops = static_cast<uint16_t>(cert.sigs.size());
+  return cm;
+}
+
 void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
   XState& xs = StateFor(v.block_digest);
   AdoptBlock(xs, v.block);
@@ -310,27 +328,18 @@ void OrderingNode::OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
   // The coordinator primary disseminates COMMIT to every node of all
   // involved clusters (§4.3.1).
   if (engine_->IsPrimary()) {
-    auto cm = std::make_shared<XCommitMsg>();
-    cm->coord_cluster = cfg_.cluster_id;
-    cm->block = v.block;
-    cm->block_digest = v.block_digest;
-    cm->coord_cert = cert;
-    cm->is_abort = is_abort;
-    for (const auto& a : v.assignments) cm->assignments.push_back(a);
-    cm->wire_bytes = 128 + cm->coord_cert.WireSize() +
-                     static_cast<uint32_t>(cm->assignments.size()) * 48;
+    auto cm = MakeXCommit(v.block, v.block_digest, cert, is_abort,
+                          v.assignments);
     // §4.3.1: cross-enterprise COMMITs embed the prepared messages from
     // a local-majority of every involved cluster as evidence; receivers
     // verify them (charged via sig_verify_ops) and the wire grows.
-    size_t evidence = 0;
     if (xs.is_cross_enterprise) {
-      evidence = dir_->params.LocalMajority() *
-                 (xs.involved.size() > 0 ? xs.involved.size() - 1 : 0);
+      size_t evidence = dir_->params.LocalMajority() *
+                        (xs.involved.size() > 0 ? xs.involved.size() - 1 : 0);
       cm->wire_bytes += static_cast<uint32_t>(evidence) * 20;
+      cm->sig_verify_ops =
+          static_cast<uint16_t>(cm->sig_verify_ops + evidence);
     }
-    cm->sig_verify_ops = static_cast<uint16_t>(
-        cm->coord_cert.sigs.size() + evidence);
-    if (is_abort) cm->type = MsgType::kXAbort;
     MulticastToOtherClusters(xs, cm);
   }
   CompleteCross(xs, cert, is_abort, /*reply_from_here=*/true);

@@ -1113,18 +1113,8 @@ void OrderingNode::HandleQuery(NodeId from, const QueryMsg& m) {
     // forever.
     const XOutcome& o = it->second;
     env()->metrics.Inc("cross.query_answered");
-    auto cm = std::make_shared<XCommitMsg>();
-    cm->coord_cluster = cfg_.cluster_id;
-    cm->block = o.block;
-    cm->block_digest = m.block_digest;
-    cm->coord_cert = o.cert;
-    cm->is_abort = o.abort;
-    if (o.abort) cm->type = MsgType::kXAbort;
-    cm->assignments = o.assignments;
-    cm->wire_bytes = 128 + cm->coord_cert.WireSize() +
-                     static_cast<uint32_t>(cm->assignments.size()) * 48;
-    cm->sig_verify_ops = static_cast<uint16_t>(cm->coord_cert.sigs.size());
-    Send(from, cm);
+    Send(from, MakeXCommit(o.block, m.block_digest, o.cert, o.abort,
+                           o.assignments));
     return;
   }
   // No certified outcome here (no record, or still pending): nothing to

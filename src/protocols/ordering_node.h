@@ -297,6 +297,12 @@ class OrderingNode : public Actor {
   /// a nack when `abort`.
   std::shared_ptr<XPreparedMsg> MakeNodePrepared(const Sha256Digest& d,
                                                  bool abort) const;
+  /// COMMIT, or ABORT when `abort`, carrying this cluster's outcome
+  /// certificate: the coordinator's decision and a query answer alike.
+  std::shared_ptr<XCommitMsg> MakeXCommit(
+      const BlockPtr& block, const Sha256Digest& d,
+      const CommitCertificate& cert, bool abort,
+      const std::vector<ShardAssignment>& assignments) const;
   void OnXOrderDecided(uint64_t slot, const ConsensusValue& v);
   void OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
                         bool is_abort);

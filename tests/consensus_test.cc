@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "consensus/batcher.h"
 #include "consensus/paxos.h"
 #include "consensus/pbft.h"
@@ -136,14 +138,6 @@ TEST(PbftTest, ToleratesOneCrashedBackup) {
   }
   f.env.sim.RunAll();
   f.ExpectAgreement(5);
-}
-
-TEST(PbftTest, ProposeOnBackupIsRejected) {
-  EngineFixture f(true, 4, 1);
-  f.hosts[1]->engine->Propose(f.MakeValue("x"));
-  f.env.sim.RunAll();
-  f.ExpectAgreement(0);
-  EXPECT_EQ(f.env.metrics.Get("pbft.propose_on_backup"), 1u);
 }
 
 TEST(PbftTest, CommitsWithoutPrimaryAfterPrePrepare) {
@@ -497,111 +491,189 @@ TEST(PbftTest, BatchedBlockDeliversAtomically) {
 }
 
 // ------------------------------------------------------------ pipelining
+//
+// The proposal queue, pipeline cap and in-order delivery live once in
+// InternalConsensus, so one suite covers both engines.
 
-TEST(PbftTest, PipelineDepthCapsInFlightSlots) {
-  EngineFixture f(true, 4, 1, 20000, /*pipeline_depth=*/2);
+struct PipelineCase {
+  const char* name;
+  bool byzantine;
+  int n;
+  const char* not_primary_metric;
+  const char* queued_metric;
+  const char* dropped_metric;
+  const char* failover_metric;
+};
+
+class PipelineTest : public ::testing::TestWithParam<PipelineCase> {
+ protected:
+  std::unique_ptr<EngineFixture> Make(size_t depth) {
+    return std::make_unique<EngineFixture>(GetParam().byzantine,
+                                           GetParam().n, 1, 20000, depth);
+  }
+
+  /// Proposes "pre" and lets it decide, then cuts the primary (host 0) off
+  /// so that slots it opens can never decide: it reaches only backup 1,
+  /// which cannot form a quorum with it, and hears from no backup. Backup
+  /// 1 still learns of the open slots, so their deadlines trigger the
+  /// leader change.
+  void IsolatePrimaryAfterOneSlot(EngineFixture& f) {
+    f.hosts[0]->engine->Propose(f.MakeValue("pre"));
+    f.env.sim.Run(200000);
+    ASSERT_EQ(f.hosts[0]->delivered.size(), 1u);
+    for (size_t i = 2; i < f.hosts.size(); ++i) {
+      f.net.Partition(f.hosts[0]->id(), f.hosts[i]->id());
+    }
+    Network::LinkFault mute;
+    mute.silence_mask = ~uint64_t{0};
+    f.net.SetLinkFault(f.hosts[1]->id(), f.hosts[0]->id(), mute);
+  }
+
+  /// Fills a depth-4 pipeline and queues four more behind it; returns
+  /// the queued values' digests.
+  std::vector<Sha256Digest> FillPipelineAndQueue(EngineFixture& f) {
+    std::vector<Sha256Digest> queued;
+    for (int i = 0; i < 8; ++i) {
+      ConsensusValue v = f.MakeValue("pipe" + std::to_string(i));
+      if (i >= 4) queued.push_back(v.block_digest);
+      f.hosts[0]->engine->Propose(v);
+    }
+    EXPECT_EQ(f.hosts[0]->engine->InFlight(), 4u);
+    EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 4u);
+    return queued;
+  }
+
+  /// The host the others now follow.
+  EngineHost* NewPrimary(EngineFixture& f) {
+    NodeId p = f.hosts[1]->engine->PrimaryNode();
+    for (auto& h : f.hosts) {
+      if (h->id() == p) return h.get();
+    }
+    return nullptr;
+  }
+};
+
+TEST_P(PipelineTest, CapsInFlightSlotsAndDrainsInOrder) {
+  auto f = Make(/*depth=*/2);
   for (int i = 0; i < 10; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
+    f->hosts[0]->engine->Propose(f->MakeValue("v" + std::to_string(i)));
   }
   // Before any network round trip completes, only 2 slots are open; the
   // rest wait inside the engine.
-  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 2u);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 8u);
-  f.env.sim.RunAll();
-  // The queue drains as slots commit; everything delivers, in order.
-  f.ExpectAgreement(10);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 0u);
+  EXPECT_EQ(f->hosts[0]->engine->InFlight(), 2u);
+  EXPECT_EQ(f->hosts[0]->engine->QueuedProposals(), 8u);
+  EXPECT_EQ(f->env.metrics.Get(GetParam().queued_metric), 8u);
+  f->env.sim.RunAll();
+  // The queue drains as slots decide; everything delivers, in order.
+  f->ExpectAgreement(10);
+  EXPECT_EQ(f->hosts[0]->engine->InFlight(), 0u);
+  EXPECT_EQ(f->hosts[0]->engine->QueuedProposals(), 0u);
   for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(f.hosts[1]->delivered[i].first, i + 1);
+    EXPECT_EQ(f->hosts[1]->delivered[i].first, i + 1);
   }
 }
 
-TEST(PbftTest, PipelineDepthOneSerializesRounds) {
-  EngineFixture f(true, 4, 1, 20000, /*pipeline_depth=*/1);
+TEST_P(PipelineTest, DepthOneSerializesRounds) {
+  auto f = Make(/*depth=*/1);
   for (int i = 0; i < 5; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
+    f->hosts[0]->engine->Propose(f->MakeValue("v" + std::to_string(i)));
   }
-  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 1u);
-  f.env.sim.RunAll();
-  f.ExpectAgreement(5);
+  EXPECT_EQ(f->hosts[0]->engine->InFlight(), 1u);
+  EXPECT_EQ(f->hosts[0]->engine->QueuedProposals(), 4u);
+  // Each slot opens only once its predecessor decided at the primary, and
+  // no proposal is lost or started early along the way.
+  const InternalConsensus& primary = *f->hosts[0]->engine;
+  while (f->hosts[0]->delivered.size() < 5 && f->env.sim.now() < 1000000) {
+    f->env.sim.Run(f->env.sim.now() + 50);
+    EXPECT_LE(primary.InFlight(), 1u);
+    EXPECT_EQ(f->hosts[0]->delivered.size() + primary.InFlight() +
+                  primary.QueuedProposals(),
+              5u);
+  }
+  f->env.sim.RunAll();
+  f->ExpectAgreement(5);
 }
 
-TEST(PbftTest, PipelineSafeUnderPrimaryFailure) {
+TEST_P(PipelineTest, FailoverWithFullPipelineAndQueueKeepsAgreement) {
   // Several slots in flight plus queued proposals when the primary dies:
-  // the view change must leave all correct replicas with identical
-  // delivered sequences (prepared slots recovered, queued ones dropped
-  // for the clients to retransmit).
-  EngineFixture f(true, 4, 1, 20000, /*pipeline_depth=*/4);
-  f.hosts[0]->engine->Propose(f.MakeValue("pre"));
-  f.env.sim.Run(200000);
-  // Partition the primary from backups 2 and 3, then fill its pipeline:
-  // the open slots' pre-prepares reach only backup 1 and can never
-  // quorum, so the cluster must view-change with a full pipeline (and a
-  // non-empty proposal queue) outstanding.
-  f.net.Partition(f.hosts[0]->id(), f.hosts[2]->id());
-  f.net.Partition(f.hosts[0]->id(), f.hosts[3]->id());
-  for (int i = 0; i < 8; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("pipe" + std::to_string(i)));
-  }
-  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 4u);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 4u);
-  f.env.sim.Run(250000);
-  f.hosts[0]->Crash();
-  f.env.sim.Run(5000000);
-  EXPECT_GE(f.env.metrics.Get("pbft.view_installed"), 1u);
-  // All surviving replicas agree on an identical sequence: the orphaned
-  // pipeline slots either committed everywhere or were noop-filled; no
-  // replica delivered a partial pipeline different from its peers'.
-  ASSERT_EQ(f.hosts[1]->delivered.size(), f.hosts[2]->delivered.size());
-  ASSERT_EQ(f.hosts[1]->delivered.size(), f.hosts[3]->delivered.size());
-  EXPECT_GE(f.hosts[1]->delivered.size(), 1u);
-  for (size_t i = 0; i < f.hosts[1]->delivered.size(); ++i) {
-    EXPECT_EQ(f.hosts[1]->delivered[i], f.hosts[2]->delivered[i]);
-    EXPECT_EQ(f.hosts[1]->delivered[i], f.hosts[3]->delivered[i]);
-  }
+  // the leader change must leave all correct replicas with identical
+  // delivered sequences (open slots recovered or no-op filled, queued
+  // ones dropped for the clients to retransmit).
+  auto f = Make(/*depth=*/4);
+  IsolatePrimaryAfterOneSlot(*f);
+  FillPipelineAndQueue(*f);
+  f->env.sim.Run(250000);
+  f->hosts[0]->Crash();
+  f->env.sim.Run(5000000);
+  EXPECT_GE(f->env.metrics.Get(GetParam().failover_metric), 1u);
+  f->ExpectAgreement(f->hosts[1]->delivered.size());
+  EXPECT_GE(f->hosts[1]->delivered.size(), 1u);
   // Liveness after the failover: the new primary still pipelines.
-  size_t before = f.hosts[1]->delivered.size();
-  ASSERT_EQ(f.hosts[1]->engine->PrimaryNode(), f.hosts[1]->id());
+  EngineHost* primary = NewPrimary(*f);
+  ASSERT_NE(primary, nullptr);
+  ASSERT_NE(primary, f->hosts[0].get());
+  size_t before = f->hosts[1]->delivered.size();
   for (int i = 0; i < 6; ++i) {
-    f.hosts[1]->engine->Propose(f.MakeValue("post" + std::to_string(i)));
+    primary->engine->Propose(f->MakeValue("post" + std::to_string(i)));
   }
-  f.env.sim.Run(20000000);
-  ASSERT_EQ(f.hosts[1]->delivered.size(), f.hosts[2]->delivered.size());
-  ASSERT_EQ(f.hosts[1]->delivered.size(), f.hosts[3]->delivered.size());
-  EXPECT_GE(f.hosts[1]->delivered.size(), before + 6);
+  f->env.sim.Run(20000000);
+  f->ExpectAgreement(f->hosts[1]->delivered.size());
+  EXPECT_GE(f->hosts[1]->delivered.size(), before + 6);
 }
 
-TEST(PaxosTest, PipelineDepthCapsInFlightSlots) {
-  EngineFixture f(false, 3, 1, 20000, /*pipeline_depth=*/2);
-  for (int i = 0; i < 9; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
+TEST_P(PipelineTest, LeaderChangeDropsQueuedProposals) {
+  // The deposed primary stays up: once it learns that leadership moved,
+  // its queue is dropped and counted, and no replica ever delivers a
+  // queued value (re-proposing it could duplicate a retransmission the
+  // new leader already ordered).
+  auto f = Make(/*depth=*/4);
+  IsolatePrimaryAfterOneSlot(*f);
+  std::vector<Sha256Digest> queued = FillPipelineAndQueue(*f);
+  f->env.sim.Run(5000000);
+  EXPECT_GE(f->env.metrics.Get(GetParam().failover_metric), 1u);
+  f->net.HealAllPartitions();
+  f->net.ClearLinkFaults();
+  EngineHost* primary = NewPrimary(*f);
+  ASSERT_NE(primary, nullptr);
+  ASSERT_NE(primary, f->hosts[0].get());
+  primary->engine->Propose(f->MakeValue("post"));
+  f->env.sim.Run(20000000);
+  EXPECT_EQ(f->env.metrics.Get(GetParam().dropped_metric), 4u);
+  EXPECT_EQ(f->hosts[0]->engine->QueuedProposals(), 0u);
+  for (auto& h : f->hosts) {
+    for (const auto& [slot, digest] : h->delivered) {
+      EXPECT_EQ(std::count(queued.begin(), queued.end(), digest), 0)
+          << "host " << h->id() << " delivered a dropped proposal";
+    }
   }
-  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 2u);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 7u);
-  f.env.sim.RunAll();
-  f.ExpectAgreement(9);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 0u);
+  f->ExpectAgreement(f->hosts[1]->delivered.size());
 }
 
-TEST(PaxosTest, PipelinedOpenSlotsRedrivenAfterTakeover) {
-  EngineFixture f(false, 3, 1, 20000, /*pipeline_depth=*/2);
-  f.hosts[0]->engine->Propose(f.MakeValue("pre"));
-  f.env.sim.Run(100000);
-  for (int i = 0; i < 6; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
-  }
-  f.env.sim.Run(100450);
-  f.hosts[0]->Crash();
-  f.env.sim.Run(8000000);
-  EXPECT_GE(f.env.metrics.Get("paxos.leader_takeover"), 1u);
-  // Live nodes agree on an identical sequence; the accepted-but-unlearned
-  // slots were re-driven by the new leader.
-  ASSERT_EQ(f.hosts[1]->delivered.size(), f.hosts[2]->delivered.size());
-  EXPECT_GE(f.hosts[1]->delivered.size(), 2u);
-  for (size_t i = 0; i < f.hosts[1]->delivered.size(); ++i) {
-    EXPECT_EQ(f.hosts[1]->delivered[i], f.hosts[2]->delivered[i]);
-  }
+TEST_P(PipelineTest, ProposeOnNonPrimaryIsRejected) {
+  auto f = Make(/*depth=*/2);
+  f->hosts[1]->engine->Propose(f->MakeValue("x"));
+  EXPECT_EQ(f->hosts[1]->engine->InFlight(), 0u);
+  EXPECT_EQ(f->hosts[1]->engine->QueuedProposals(), 0u);
+  f->env.sim.RunAll();
+  f->ExpectAgreement(0);
+  EXPECT_EQ(f->env.metrics.Get(GetParam().not_primary_metric), 1u);
+  EXPECT_EQ(f->env.metrics.Get(GetParam().queued_metric), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothEngines, PipelineTest,
+    ::testing::Values(
+        PipelineCase{"Pbft", true, 4, "pbft.propose_on_backup",
+                     "pbft.proposal_queued",
+                     "pbft.queue_dropped_on_view_change",
+                     "pbft.view_installed"},
+        PipelineCase{"Paxos", false, 3, "paxos.propose_on_follower",
+                     "paxos.proposal_queued",
+                     "paxos.queue_dropped_on_takeover",
+                     "paxos.leader_takeover"}),
+    [](const ::testing::TestParamInfo<PipelineCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace qanaat
