@@ -84,7 +84,11 @@ std::shared_ptr<XCommitMsg> OrderingNode::MakeXCommit(
 }
 
 void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
-  XState& xs = StateFor(v.block_digest);
+  // An XOrder decided again for a finished instance (a re-proposal that
+  // raced the outcome) has nothing left to claim or send.
+  XState* live = LiveState(v.block_digest);
+  if (live == nullptr) return;
+  XState& xs = *live;
   AdoptBlock(xs, v.block);
   for (const auto& a : v.assignments) {
     xs.assignments[a.alpha.shard] = a;

@@ -767,23 +767,8 @@ bool OrderingNode::HasCrossShardConflict(
 
 OrderingNode::XState& OrderingNode::StateFor(const Sha256Digest& d) {
   auto [it, fresh] = xstates_.try_emplace(d);
-  XState& xs = it->second;
-  if (!fresh) return xs;
-  xs.digest = d;
-  auto rec = finished_.find(d);
-  if (rec != finished_.end()) {
-    const XOutcome& o = rec->second;
-    xs.done = true;
-    xs.block = o.block;
-    xs.outcome_cert = o.cert;
-    xs.outcome_known = o.certified;
-    xs.outcome_abort = o.abort;
-    for (const ShardAssignment& a : o.assignments) {
-      xs.assignments.emplace(a.alpha.shard, a);
-    }
-    finishing_.push_back(d);
-  }
-  return xs;
+  if (fresh) it->second.digest = d;
+  return it->second;
 }
 
 OrderingNode::XState* OrderingNode::LiveState(const Sha256Digest& d) {

@@ -71,6 +71,9 @@ class OrderingNode : public Actor {
   /// Outcome records of finished cross instances, kept for §4.3.4 query
   /// answering.
   size_t finished_cross_instances() const { return finished_.size(); }
+  /// This cluster's own slot claims held by live cross instances (an
+  /// entry lives from the claim until its instance finishes).
+  size_t pending_own_claims() const { return own_pending_.size(); }
 
  private:
   friend class QanaatSystem;
@@ -248,9 +251,9 @@ class OrderingNode : public Actor {
   /// initiator enterprise's clusters do (paper §4.3.3 verbatim).
   bool IAmShardAssigner(const CollectionId& c,
                         EnterpriseId initiator_enterprise) const;
-  /// The instance for `d`, created on first sight. A retired digest
-  /// reopens as a done view of its outcome record (a re-decided XOrder,
-  /// say), folded back into the record when the handler returns.
+  /// The instance for `d`, created on first sight. Only the paths that
+  /// mint a block call it directly (StartCross, RunRetry); a fresh block
+  /// never has an outcome record yet.
   XState& StateFor(const Sha256Digest& d);
   /// The instance for `d` while it is live, created on first sight;
   /// nullptr once it finished, in this handler or an earlier one (its
@@ -493,8 +496,7 @@ class OrderingNode : public Actor {
   // Every finished instance's outcome record: it answers §4.3.4 commit
   // queries.
   std::unordered_map<Sha256Digest, XOutcome, DigestHash> finished_;
-  // Instances finished (or reopened) during the current handler, for
-  // RetireFinished.
+  // Instances finished during the current handler, for RetireFinished.
   std::vector<Sha256Digest> finishing_;
   // Blocks whose client replies this cluster owns (initiator side).
   std::unordered_set<Sha256Digest, DigestHash> reply_owner_;

@@ -505,6 +505,8 @@ struct PipelineCase {
   const char* failover_metric;
 };
 
+void PrintTo(const PipelineCase& c, std::ostream* os) { *os << c.name; }
+
 class PipelineTest : public ::testing::TestWithParam<PipelineCase> {
  protected:
   std::unique_ptr<EngineFixture> Make(size_t depth) {

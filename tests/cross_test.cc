@@ -2,7 +2,8 @@
 // handling and pull-based executor state transfer: digest-priority
 // arbitration of symmetric rival claims, loser re-proposal, the §4.3.4
 // outcome query after a crash in both protocol families, vote provenance
-// before an instance exists, and the firewall-routed
+// before an instance exists, a re-decided XOrder for a finished instance,
+// and the firewall-routed
 // StateRequest/StateReply path a gapped execution node uses to converge.
 
 #include <gtest/gtest.h>
@@ -281,6 +282,85 @@ INSTANTIATE_TEST_SUITE_P(BothFamilies, ForgedVoteTest,
                          ::testing::Values(ProtocolFamily::kCoordinator,
                                            ProtocolFamily::kFlattened),
                          FamilyName);
+
+// --------------------------------- re-decided XOrder (coordinator)
+
+TEST(ReDecidedXOrderTest, FinishedInstanceIsNeitherReclaimedNorResent) {
+  // An XOrder can be decided again after its instance finished (a
+  // re-proposal that raced the outcome). The outcome is certified, so
+  // the coordinator cluster must neither claim its slot again (a claim
+  // only its instance's finish releases would nack every later rival)
+  // nor re-send PREPARE or PREPARED.
+  QanaatSystem::Options so;
+  so.params.num_enterprises = 2;
+  so.params.shards_per_enterprise = 1;
+  so.params.failure_model = FailureModel::kCrash;
+  so.params.family = ProtocolFamily::kCoordinator;
+  so.seed = 5;
+  QanaatSystem sys(std::move(so));
+  ClientStub stub(&sys.env());
+
+  auto req = std::make_shared<RequestMsg>();
+  req->tx.client = stub.id();
+  req->tx.client_ts = 1;
+  req->tx.collection = CollectionId(EnterpriseSet{0, 1});
+  req->tx.shards = {0};
+  req->tx.initiator = 0;
+  req->tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+  req->tx.client_sig = sys.env().keystore.Sign(stub.id(), req->tx.Digest());
+  sys.net().Send(stub.id(), sys.directory().Cluster(0).InitialPrimary(),
+                 req);
+  sys.env().sim.Run(1 * kSecond);
+
+  OrderingNode* primary = nullptr;
+  for (int i = 0; i < 3; ++i) {
+    OrderingNode* node = sys.ordering_node(0, i);
+    ASSERT_EQ(node->finished_cross_instances(), 1u);
+    ASSERT_EQ(node->pending_own_claims(), 0u);
+    if (node->IsPrimary()) primary = node;
+  }
+  ASSERT_NE(primary, nullptr);
+  const DagLedger& ledger = primary->exec_core().ledger();
+  ASSERT_EQ(ledger.size(), 1u);
+  const DagLedger::Entry& e = ledger.entry(0);
+
+  // From here on, the network counts (and swallows) every PREPARE or
+  // PREPARED between the two clusters.
+  Network::LinkFault watch;
+  watch.silence_mask = Network::LinkFault::TypeBit(MsgType::kXPrepare) |
+                       Network::LinkFault::TypeBit(MsgType::kXPrepared);
+  for (NodeId a : sys.directory().Cluster(0).ordering) {
+    for (NodeId b : sys.directory().Cluster(1).ordering) {
+      sys.net().SetLinkFaultBetween(a, b, watch);
+    }
+  }
+  const uint64_t silenced_before = sys.env().metrics.Get("net.silenced");
+  const uint64_t decided_before = primary->engine()->LastDelivered();
+
+  ConsensusValue again;
+  again.kind = ConsensusValue::Kind::kXOrder;
+  again.block = e.block;
+  again.block_digest = e.block->Digest();
+  again.assignments = {ShardAssignment{0, e.alpha, e.gamma}};
+  primary->engine()->Propose(again);
+  sys.env().sim.Run(2 * kSecond);
+
+  EXPECT_EQ(primary->engine()->LastDelivered(), decided_before + 1)
+      << "the XOrder was not decided again";
+  EXPECT_EQ(sys.env().metrics.Get("net.silenced"), silenced_before)
+      << "PREPARE or PREPARED re-sent for a finished instance";
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    for (int i = 0; i < 3; ++i) {
+      const OrderingNode* node = sys.ordering_node(c, i);
+      EXPECT_EQ(node->pending_own_claims(), 0u)
+          << "cluster " << c << " node " << i;
+      EXPECT_EQ(node->live_cross_instances(), 0u)
+          << "cluster " << c << " node " << i;
+      EXPECT_EQ(node->finished_cross_instances(), 1u)
+          << "cluster " << c << " node " << i;
+    }
+  }
+}
 
 // ----------------------------- pull-based executor state transfer
 
