@@ -503,6 +503,13 @@ struct PipelineCase {
   const char* queued_metric;
   const char* dropped_metric;
   const char* failover_metric;
+  // Whether the failover re-drives the deposed primary's open slots.
+  // Paxos does: host 1 accepted them, and its promise hands them to the
+  // new leader. PBFT no-op fills them: host 1 alone saw their
+  // pre-prepares, so none prepared.
+  bool redrives_open_slots;
+  // Index of the host that leads after the failover.
+  size_t new_primary;
 };
 
 void PrintTo(const PipelineCase& c, std::ostream* os) { *os << c.name; }
@@ -532,26 +539,28 @@ class PipelineTest : public ::testing::TestWithParam<PipelineCase> {
   }
 
   /// Fills a depth-4 pipeline and queues four more behind it; returns
-  /// the queued values' digests.
+  /// the eight values' digests, the four in flight first.
   std::vector<Sha256Digest> FillPipelineAndQueue(EngineFixture& f) {
-    std::vector<Sha256Digest> queued;
+    std::vector<Sha256Digest> digests;
     for (int i = 0; i < 8; ++i) {
       ConsensusValue v = f.MakeValue("pipe" + std::to_string(i));
-      if (i >= 4) queued.push_back(v.block_digest);
+      digests.push_back(v.block_digest);
       f.hosts[0]->engine->Propose(v);
     }
     EXPECT_EQ(f.hosts[0]->engine->InFlight(), 4u);
     EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 4u);
-    return queued;
+    return digests;
   }
 
-  /// The host the others now follow.
+  /// The host that leads after the failover; checks that the others
+  /// follow it.
   EngineHost* NewPrimary(EngineFixture& f) {
-    NodeId p = f.hosts[1]->engine->PrimaryNode();
-    for (auto& h : f.hosts) {
-      if (h->id() == p) return h.get();
+    EngineHost* primary = f.hosts[GetParam().new_primary].get();
+    for (size_t i = 1; i < f.hosts.size(); ++i) {
+      EXPECT_EQ(f.hosts[i]->engine->PrimaryNode(), primary->id())
+          << "host " << i;
     }
-    return nullptr;
+    return primary;
   }
 };
 
@@ -599,21 +608,27 @@ TEST_P(PipelineTest, DepthOneSerializesRounds) {
 TEST_P(PipelineTest, FailoverWithFullPipelineAndQueueKeepsAgreement) {
   // Several slots in flight plus queued proposals when the primary dies:
   // the leader change must leave all correct replicas with identical
-  // delivered sequences (open slots recovered or no-op filled, queued
-  // ones dropped for the clients to retransmit).
+  // delivered sequences (open slots a survivor accepted are re-driven,
+  // the rest no-op filled, queued ones dropped for the clients to
+  // retransmit).
   auto f = Make(/*depth=*/4);
   IsolatePrimaryAfterOneSlot(*f);
-  FillPipelineAndQueue(*f);
+  std::vector<Sha256Digest> proposed = FillPipelineAndQueue(*f);
   f->env.sim.Run(250000);
   f->hosts[0]->Crash();
   f->env.sim.Run(5000000);
   EXPECT_GE(f->env.metrics.Get(GetParam().failover_metric), 1u);
-  f->ExpectAgreement(f->hosts[1]->delivered.size());
-  EXPECT_GE(f->hosts[1]->delivered.size(), 1u);
+  // "pre" plus the four open slots, which are re-driven or no-op filled.
+  f->ExpectAgreement(5);
+  ASSERT_EQ(f->hosts[1]->delivered.size(), 5u);
+  for (size_t i = 0; i < 4; ++i) {
+    const auto& [slot, digest] = f->hosts[1]->delivered[i + 1];
+    EXPECT_EQ(slot, i + 2);
+    EXPECT_EQ(digest == proposed[i], GetParam().redrives_open_slots)
+        << "slot " << slot;
+  }
   // Liveness after the failover: the new primary still pipelines.
   EngineHost* primary = NewPrimary(*f);
-  ASSERT_NE(primary, nullptr);
-  ASSERT_NE(primary, f->hosts[0].get());
   size_t before = f->hosts[1]->delivered.size();
   for (int i = 0; i < 6; ++i) {
     primary->engine->Propose(f->MakeValue("post" + std::to_string(i)));
@@ -630,14 +645,13 @@ TEST_P(PipelineTest, LeaderChangeDropsQueuedProposals) {
   // new leader already ordered).
   auto f = Make(/*depth=*/4);
   IsolatePrimaryAfterOneSlot(*f);
-  std::vector<Sha256Digest> queued = FillPipelineAndQueue(*f);
+  std::vector<Sha256Digest> proposed = FillPipelineAndQueue(*f);
+  std::vector<Sha256Digest> queued(proposed.begin() + 4, proposed.end());
   f->env.sim.Run(5000000);
   EXPECT_GE(f->env.metrics.Get(GetParam().failover_metric), 1u);
   f->net.HealAllPartitions();
   f->net.ClearLinkFaults();
   EngineHost* primary = NewPrimary(*f);
-  ASSERT_NE(primary, nullptr);
-  ASSERT_NE(primary, f->hosts[0].get());
   primary->engine->Propose(f->MakeValue("post"));
   f->env.sim.Run(20000000);
   EXPECT_EQ(f->env.metrics.Get(GetParam().dropped_metric), 4u);
@@ -668,11 +682,13 @@ INSTANTIATE_TEST_SUITE_P(
         PipelineCase{"Pbft", true, 4, "pbft.propose_on_backup",
                      "pbft.proposal_queued",
                      "pbft.queue_dropped_on_view_change",
-                     "pbft.view_installed"},
+                     "pbft.view_installed", /*redrives_open_slots=*/false,
+                     /*new_primary=*/1},
         PipelineCase{"Paxos", false, 3, "paxos.propose_on_follower",
                      "paxos.proposal_queued",
                      "paxos.queue_dropped_on_takeover",
-                     "paxos.leader_takeover"}),
+                     "paxos.leader_takeover", /*redrives_open_slots=*/true,
+                     /*new_primary=*/1}),
     [](const ::testing::TestParamInfo<PipelineCase>& info) {
       return std::string(info.param.name);
     });
