@@ -5,6 +5,16 @@
 namespace qanaat {
 
 namespace {
+// Runs the simulation to `until` and records its event count, the wall
+// time of the run itself (system and client setup excluded) and the
+// simulated end time.
+void RunTimed(Simulator& sim, SimTime until, LoadPoint* p) {
+  double wall0 = sim.wall_seconds_in_run();
+  p->events = sim.Run(until);
+  p->run_wall_s = sim.wall_seconds_in_run() - wall0;
+  p->sim_end = sim.now();
+}
+
 // The paper's reported operating point: the highest-throughput point
 // whose throughput still tracks offered load; if none does (heavily
 // invalidation-limited runs), the highest-throughput point outright.
@@ -93,7 +103,7 @@ LoadPoint RunQanaatPoint(const QanaatRunConfig& cfg, double offered_tps) {
     c->Start(0, cfg.duration, measure_from, measure_to);
   }
   LoadPoint p;
-  p.events = sys.env().sim.Run(cfg.duration + 500 * kMillisecond);
+  RunTimed(sys.env().sim, cfg.duration + 500 * kMillisecond, &p);
   p.offered_tps = offered_tps;
   double window_s =
       static_cast<double>(measure_to - measure_from) / kSecond;
@@ -198,7 +208,7 @@ LoadPoint RunFabricPoint(const FabricRunConfig& cfg, double offered_tps) {
     }
   }
   LoadPoint p;
-  p.events = sys.env().sim.Run(cfg.duration + 500 * kMillisecond);
+  RunTimed(sys.env().sim, cfg.duration + 500 * kMillisecond, &p);
   p.offered_tps = offered_tps;
   double window_s =
       static_cast<double>(measure_to - measure_from) / kSecond;

@@ -18,7 +18,9 @@ struct LoadPoint {
   double measured_tps = 0;
   double avg_latency_ms = 0;
   double p99_latency_ms = 0;
-  uint64_t events = 0;  // simulator events the run executed
+  uint64_t events = 0;    // simulator events the run executed
+  double run_wall_s = 0;  // wall time of the simulation run alone
+  SimTime sim_end = 0;    // simulated time the run ended at
 };
 
 /// Result of a saturation sweep: the full curve plus the knee — the
