@@ -7,91 +7,47 @@
 
 namespace qanaat {
 
-void Simulator::Execute(Event& ev) {
-  switch (ev.kind) {
-    case Kind::kClosure: {
-      // Move the pooled closure out before running it: the callback may
-      // schedule new closures, which can reuse (or reallocate) the slot.
-      Callback fn = std::move(closures_[ev.closure]);
-      closures_[ev.closure] = nullptr;
-      free_closures_.push_back(ev.closure);
-      fn();
-      break;
-    }
-    case Kind::kDeliver:
-      // A message addressed to a previous life of the node (it crashed
-      // while this was in flight) is lost with the crashed process.
-      if (ev.actor->epoch() == ev.epoch) {
-        ev.actor->DeliverAt(static_cast<SimTime>(ev.a),
-                            static_cast<NodeId>(ev.b), std::move(ev.msg));
-      }
-      break;
-    case Kind::kHandle:
-      // Epoch guard: work accepted before a crash must not complete in a
-      // recovered life.
-      if (!ev.actor->crashed() && ev.actor->epoch() == ev.epoch) {
-        ev.actor->OnMessage(static_cast<NodeId>(ev.b), ev.msg);
-      }
-      break;
-    case Kind::kTimer:
-      // Epoch guard: timers armed before a crash die with that life.
-      if (!ev.actor->crashed() && ev.actor->epoch() == ev.epoch) {
-        ev.actor->OnTimer(ev.a, ev.b);
-      }
-      break;
-  }
-}
-
 uint64_t Simulator::RunLoop(SimTime until) {
   uint64_t executed = 0;
-  Event ev;
-  for (;;) {
-    // Merge point of the two event stores: the 4-ary heap (messages,
-    // closures, spilled far timers) and the timer wheel. Both order by
-    // the same global (time, seq) key, so picking the lexicographic
-    // smaller each iteration reproduces the all-heap execution order
-    // bit for bit.
-    SimTime tw;
-    uint64_t sw;
-    bool have_wheel = wheel_.Min(now_, &tw, &sw);
-    bool have_heap = !heap_.empty();
-    if (!have_wheel && !have_heap) break;
-    bool use_wheel =
-        have_wheel &&
-        (!have_heap || tw < heap_.front().time ||
-         (tw == heap_.front().time && sw < heap_.front().seq));
-    SimTime t = use_wheel ? tw : heap_.front().time;
-    if (t > until) break;
-    if (use_wheel) {
-      now_ = t;
-      TimerWheel::Entry e = wheel_.Pop(now_);
-      switch (e.kind) {
-        case TimerWheel::Kind::kTimer:
-          // Epoch guard: timers armed before a crash die with that life.
-          if (!e.actor->crashed() && e.actor->epoch() == e.epoch) {
-            e.actor->OnTimer(e.a, e.b);
-          }
-          break;
-        case TimerWheel::Kind::kDeliver:
-          // A message addressed to a previous life of the node (it
-          // crashed while this was in flight) is lost with the process.
-          if (e.actor->epoch() == e.epoch) {
-            e.actor->DeliverAt(static_cast<SimTime>(e.a),
-                               static_cast<NodeId>(e.b), std::move(e.msg));
-          }
-          break;
-        case TimerWheel::Kind::kHandle:
-          // Work accepted before a crash must not complete in a
-          // recovered life.
-          if (!e.actor->crashed() && e.actor->epoch() == e.epoch) {
-            e.actor->OnMessage(static_cast<NodeId>(e.b), e.msg);
-          }
-          break;
+  SimTime t;
+  while (wheel_.Min(now_, &t) && t <= until) {
+    now_ = t;
+    // Pop before executing: the event may schedule new events. This
+    // switch is the one dispatch point for every event kind.
+    TimerWheel::Entry e = wheel_.Pop(now_);
+    switch (e.kind) {
+      case TimerWheel::Kind::kTimer:
+        // Epoch guard: timers armed before a crash die with that life.
+        if (!e.actor->crashed() && e.actor->epoch() == e.epoch) {
+          e.actor->OnTimer(e.a, e.b);
+        }
+        break;
+      case TimerWheel::Kind::kDeliver:
+        // A message addressed to a previous life of the node (it
+        // crashed while this was in flight) is lost with the process.
+        if (e.actor->epoch() == e.epoch) {
+          e.actor->DeliverAt(static_cast<SimTime>(e.a),
+                             static_cast<NodeId>(e.b), std::move(e.msg));
+        }
+        break;
+      case TimerWheel::Kind::kHandle:
+        // Work accepted before a crash must not complete in a
+        // recovered life.
+        if (!e.actor->crashed() && e.actor->epoch() == e.epoch) {
+          e.actor->OnMessage(static_cast<NodeId>(e.b), e.msg);
+        }
+        break;
+      case TimerWheel::Kind::kClosure: {
+        // Move the pooled closure out before running it: the callback
+        // may schedule new closures, which can reuse (or reallocate)
+        // the slot.
+        uint32_t idx = static_cast<uint32_t>(e.a);
+        Callback fn = std::move(closures_[idx]);
+        closures_[idx] = nullptr;
+        free_closures_.push_back(idx);
+        fn();
+        break;
       }
-    } else {
-      // Pop before executing: the event may schedule new events.
-      now_ = PopInto(ev);
-      Execute(ev);
     }
     ++executed;
   }

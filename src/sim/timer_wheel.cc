@@ -22,8 +22,18 @@ int TimerWheel::ScanFrom(int level, int start) const {
   return -1;
 }
 
-bool TimerWheel::Min(SimTime now, SimTime* when, uint64_t* seq) {
-  if (count_ == 0) return false;
+bool TimerWheel::Min(SimTime now, SimTime* when) {
+  while (!overflow_.empty() && overflow_.front().when - now < kHorizon) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later);
+    Entry e = std::move(overflow_.back());
+    overflow_.pop_back();
+    Enter(now, std::move(e));
+  }
+  if (count_ == 0) {
+    if (overflow_.empty()) return false;
+    *when = overflow_.front().when;
+    return true;
+  }
   if (!cache_valid_) {
     bool have = false;
     int best_level = kBucketLevel;
@@ -49,8 +59,7 @@ bool TimerWheel::Min(SimTime now, SimTime* when, uint64_t* seq) {
       for (int c : cand) {
         if (c < 0) continue;
         const SlotMinKey& m = slot_min_[(level << kSlotBits) + c];
-        if (!have || m.when < best_when ||
-            (m.when == best_when && m.seq < best_seq)) {
+        if (!have || Before(m.when, m.seq, best_when, best_seq)) {
           have = true;
           best_when = m.when;
           best_seq = m.seq;
@@ -66,7 +75,6 @@ bool TimerWheel::Min(SimTime now, SimTime* when, uint64_t* seq) {
     cache_slot_ = best_slot;
   }
   *when = cache_when_;
-  *seq = cache_seq_;
   return true;
 }
 
@@ -104,8 +112,7 @@ void TimerWheel::Cascade(int level, int idx, SimTime now) {
 
 TimerWheel::Entry TimerWheel::Pop(SimTime now) {
   SimTime when;
-  uint64_t seq;
-  Min(now, &when, &seq);
+  Min(now, &when);
   // Promote the min down to the drain bucket: the min entry's delta
   // relative to `now` (== its own time) is 0, so each cascade moves it
   // at least one level lower — at most kLevels rounds.
@@ -129,7 +136,7 @@ TimerWheel::Entry TimerWheel::Pop(SimTime now) {
       Cascade(cache_level_, cache_slot_, now);
     }
     cache_valid_ = false;
-    Min(now, &when, &seq);
+    Min(now, &when);
   }
   Entry e = std::move(bucket_[bucket_pos_]);
   ++bucket_pos_;
