@@ -11,6 +11,12 @@ slots_per_sec). A drop beyond --fail-pct fails the job; a drop between
 new metrics never fail — baselines are refreshed by committing a new
 JSON, not by loosening this check.
 
+The simulated event count of every e2e point must equal the baseline's
+exactly: an e2e point runs the same deterministic simulation in --quick
+and full mode, so a different count means a different simulation, and
+a rate compared across two simulations says nothing. The raw series
+change their event counts with the mode, so only e2e counts are gated.
+
 CI runs the fresh side in --quick mode (1 repetition, reduced event
 counts): rates stay comparable to the full-mode baselines, the extra
 noise is why the fail threshold is generous.
@@ -40,14 +46,18 @@ def rate_of(entry):
 
 
 def load(path):
+    """Returns ({series: rate}, {e2e series: simulated events})."""
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    rates, events = {}, {}
     for entry in doc.get("series", []):
+        key = series_key(entry)
         rate = rate_of(entry)
         if rate is not None:
-            out[series_key(entry)] = rate
-    return out
+            rates[key] = rate
+        if entry.get("metric") == "e2e" and "events" in entry:
+            events[key] = int(entry["events"])
+    return rates, events
 
 
 def main():
@@ -58,8 +68,8 @@ def main():
     ap.add_argument("--warn-pct", type=float, default=10.0)
     args = ap.parse_args()
 
-    base = load(args.baseline)
-    fresh = load(args.fresh)
+    base, base_events = load(args.baseline)
+    fresh, fresh_events = load(args.fresh)
 
     failures = []
     for key, base_rate in sorted(base.items()):
@@ -78,14 +88,30 @@ def main():
         else:
             print(f"ok   {line}")
 
+    event_failures = []
+    for key, base_count in sorted(base_events.items()):
+        if key not in fresh_events:
+            continue
+        line = (f"{key}: baseline {base_count:,} events fresh "
+                f"{fresh_events[key]:,} events")
+        if fresh_events[key] != base_count:
+            print(f"FAIL {line}")
+            event_failures.append(key)
+        else:
+            print(f"ok   {line}")
+
     if failures:
         print(f"\n{len(failures)} metric(s) regressed more than "
               f"{args.fail_pct:.0f}% vs the committed baseline "
               f"({args.baseline}).")
         print("If the slowdown is intended, regenerate and commit the "
               "baseline JSON with the full-mode bench.")
-        return 1
-    return 0
+    if event_failures:
+        print(f"\n{len(event_failures)} e2e point(s) simulate a different "
+              f"number of events than the committed baseline "
+              f"({args.baseline}). Commit the new counts together with "
+              "the change that explains them.")
+    return 1 if failures or event_failures else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Smoke tests for check_bench_regression.py.
 
-Exercises the CI gate's four interesting behaviors: clean pass, advisory
-warning inside the (warn, fail] band, hard failure past --fail-pct, and
-a series missing from the fresh run (skipped, never failed).
+Exercises the CI gate's interesting behaviors: clean pass, advisory
+warning inside the (warn, fail] band, hard failure past --fail-pct, a
+series missing from the fresh run (skipped, never failed), and the exact
+event-count check on e2e points (raw series are exempt).
 """
 
 import json
@@ -97,6 +98,38 @@ class CheckBenchRegressionTest(unittest.TestCase):
         code, out = self.run_tool(base, fresh)
         self.assertEqual(code, 1, out)
         self.assertIn("FAIL e2e_2", out)
+
+    def test_e2e_event_counts_equal_passes_raw_counts_exempt(self):
+        # Same e2e count in both runs; the raw series' count differs (as
+        # between --quick and full mode) and is not gated.
+        base = {"series": [
+            {"metric": "wheel_storm", "events": 2000064,
+             "events_per_sec": 24000000.0},
+            {"metric": "e2e", "enterprises": 2, "shards": 2,
+             "events": 134201, "events_per_sec": 2500000.0}]}
+        fresh = {"series": [
+            {"metric": "wheel_storm", "events": 500064,
+             "events_per_sec": 23000000.0},
+            {"metric": "e2e", "enterprises": 2, "shards": 2,
+             "events": 134201, "events_per_sec": 2400000.0}]}
+        code, out = self.run_tool(base, fresh)
+        self.assertEqual(code, 0, out)
+        self.assertIn("ok   e2e_2_2: baseline 134,201 events", out)
+        self.assertNotIn("wheel_storm: baseline 2,000,064 events", out)
+
+    def test_e2e_event_count_change_fails_even_when_faster(self):
+        # One event more is a different simulation: the gate fails even
+        # though the rate went up.
+        base = {"series": [{"metric": "e2e", "enterprises": 2, "shards": 2,
+                            "events": 134201,
+                            "events_per_sec": 2500000.0}]}
+        fresh = {"series": [{"metric": "e2e", "enterprises": 2, "shards": 2,
+                             "events": 134202,
+                             "events_per_sec": 2600000.0}]}
+        code, out = self.run_tool(base, fresh)
+        self.assertEqual(code, 1, out)
+        self.assertIn("FAIL e2e_2_2: baseline 134,201 events fresh "
+                      "134,202 events", out)
 
 
 if __name__ == "__main__":
