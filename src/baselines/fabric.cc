@@ -85,18 +85,14 @@ FabricPeer::FabricPeer(Env* env, FabricSystem* sys, const DataModel* model,
       sys_(sys),
       model_(model),
       enterprise_(enterprise) {
-  if (sys_->config().peer_catchup_period_us > 0) {
-    // Stagger the polls per peer so they never land on the same tick.
-    StartTimer(sys_->config().peer_catchup_period_us + enterprise,
-               kTagCatchup, 0);
-  }
+  // Stagger the polls per peer so they never land on the same tick.
+  StartTimer(kCatchupPeriod + enterprise, kTagCatchup, 0);
 }
 
 void FabricPeer::OnTimer(uint64_t tag, uint64_t /*payload*/) {
   if (tag != kTagCatchup) return;
   RequestMissingBlocks();
-  StartTimer(sys_->config().peer_catchup_period_us + enterprise_,
-             kTagCatchup, 0);
+  StartTimer(kCatchupPeriod + enterprise_, kTagCatchup, 0);
 }
 
 void FabricPeer::RequestMissingBlocks() {
@@ -216,7 +212,7 @@ void FabricPeer::HandleBlock(const MessageRef& msg) {
     ++next_block_;
     ApplyBlock(*blk);
   }
-  if (!held_blocks_.empty() && sys_->config().peer_catchup_period_us > 0) {
+  if (!held_blocks_.empty()) {
     // A successor arrived but its predecessor did not. Give a merely
     // reordered predecessor one more arrival to show up; a gap that
     // persists means the block was lost — fetch it now rather than on

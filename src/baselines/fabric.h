@@ -29,12 +29,6 @@ struct FabricConfig {
   int batch_size = 100;
   SimTime batch_timeout_us = 2000;
   uint64_t seed = 1;
-  /// Peer block catch-up: peers poll the ordering service for blocks at
-  /// or above their application frontier every `peer_catchup_period_us`
-  /// (and immediately on detecting a gap in the delivered stream), so a
-  /// block lost on the wire no longer wedges the peer forever. 0
-  /// disables catch-up (the pre-state-transfer behavior).
-  SimTime peer_catchup_period_us = 100 * kMillisecond;
 };
 
 class FabricPeer;
@@ -123,6 +117,11 @@ class FabricPeer : public Actor {
 
  private:
   static constexpr uint64_t kTagCatchup = 1;
+  /// Block catch-up: the peer polls the ordering service for blocks at
+  /// or above its application frontier this often (and immediately on
+  /// detecting a gap in the delivered stream), so a block lost on the
+  /// wire does not wedge it.
+  static constexpr SimTime kCatchupPeriod = 100 * kMillisecond;
 
   void HandleEndorse(NodeId from, const EndorseReqMsg& m);
   /// Admission: the ordering service's stream is consumed in block-number

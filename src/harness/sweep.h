@@ -67,8 +67,9 @@ struct FabricRunConfig {
   SimTime warmup = 300 * kMillisecond;
   /// Crash one Raft follower at t=0 (Table 3).
   bool fail_follower = false;
-  /// Message-loss probability on client links (peers have no catch-up
-  /// protocol, so loss on block-delivery links would wedge them).
+  /// Message-loss probability on client links. Peers recover lost
+  /// blocks through catch-up, but loss stays off the block-delivery
+  /// links so a lossy point measures client retransmission alone.
   double drop_rate = 0;
 };
 
