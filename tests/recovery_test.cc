@@ -9,8 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "consensus/paxos.h"
-#include "consensus/pbft.h"
+#include "engine_host.h"
 #include "harness/chaos.h"
 #include "sim/faults.h"
 
@@ -19,91 +18,14 @@ namespace {
 
 // ----------------------------------------------------- engine-level GC
 
-/// Minimal engine host (consensus_test.cc pattern) with a checkpoint
-/// interval and an optional checkpoint-vote filter, so a test can starve
-/// one replica of the quorum that would make its checkpoint stable.
-class CkptHost : public Actor {
- public:
-  CkptHost(Env* env, int index) : Actor(env, "ckpt-host"), index_(index) {}
-
-  void Init(const std::vector<NodeId>& cluster, bool byzantine_engine,
-            int f, size_t checkpoint_interval) {
-    EngineContext ctx;
-    ctx.env = env();
-    ctx.self = id();
-    ctx.cluster = cluster;
-    ctx.self_index = index_;
-    ctx.checkpoint_interval = checkpoint_interval;
-    ctx.send = [this](NodeId to, MessageRef m) { Send(to, std::move(m)); };
-    ctx.broadcast = [this, cluster](MessageRef m) {
-      for (NodeId p : cluster) {
-        if (p != id()) Send(p, m);
-      }
-    };
-    ctx.start_timer = [this](SimTime d, uint64_t tag, uint64_t payload) {
-      StartTimer(d, tag, payload);
-    };
-    ctx.deliver = [this](uint64_t slot, const ConsensusValue& v) {
-      delivered.emplace_back(slot, v.block_digest);
-    };
-    if (byzantine_engine) {
-      engine = std::make_unique<PbftEngine>(std::move(ctx), f, 20000);
-    } else {
-      engine = std::make_unique<PaxosEngine>(std::move(ctx), f, 20000);
-    }
-  }
-
-  void OnMessage(NodeId from, const MessageRef& msg) override {
-    if (drop_checkpoint_votes && msg->type == MsgType::kCheckpoint) return;
-    engine->OnMessage(from, msg);
-  }
-  void OnTimer(uint64_t tag, uint64_t payload) override {
-    engine->OnTimer(tag, payload);
-  }
-
-  std::unique_ptr<InternalConsensus> engine;
-  std::vector<std::pair<uint64_t, Sha256Digest>> delivered;
-  bool drop_checkpoint_votes = false;
-
- private:
-  int index_;
-};
-
-struct CkptFixture {
-  CkptFixture(bool byz, int n, int f, size_t interval) : env(11), net(&env) {
-    for (int i = 0; i < n; ++i) {
-      hosts.push_back(std::make_unique<CkptHost>(&env, i));
-    }
-    std::vector<NodeId> ids;
-    for (auto& h : hosts) ids.push_back(h->id());
-    for (auto& h : hosts) h->Init(ids, byz, f, interval);
-  }
-
-  ConsensusValue MakeValue(uint64_t tag) {
-    ConsensusValue v;
-    v.kind = ConsensusValue::Kind::kBlock;
-    auto b = std::make_shared<Block>();
-    b->id.alpha = {CollectionId(EnterpriseSet{0}), 0, ++seq};
-    b->txs.push_back(Transaction{});
-    b->txs.back().client_ts = tag;
-    b->Seal();
-    v.block = b;
-    v.block_digest = b->Digest();
-    return v;
-  }
-
-  Env env;
-  Network net;
-  std::vector<std::unique_ptr<CkptHost>> hosts;
-  SeqNo seq = 0;
-};
-
 TEST(CheckpointTest, GcNeverDiscardsSlotsBelowUnstableCheckpoint) {
   // Host 0 drops every incoming CHECKPOINT vote: its own checkpoints are
   // proposed but can never gather a quorum. Unstable checkpoints must
   // not garbage-collect — otherwise a replica could discard slot state
   // (and its ability to serve fills) on its own unconfirmed say-so.
-  CkptFixture fx(/*byz=*/true, 4, 1, /*interval=*/4);
+  EngineFixture fx(/*byz=*/true, 4, 1, /*timeout=*/20000,
+                   /*pipeline_depth=*/0, /*checkpoint_interval=*/4,
+                   /*env_seed=*/11);
   fx.hosts[0]->drop_checkpoint_votes = true;
   for (int i = 0; i < 10; ++i) {
     fx.hosts[0]->engine->Propose(fx.MakeValue(100 + i));
@@ -133,7 +55,9 @@ TEST(CheckpointTest, GcNeverDiscardsSlotsBelowUnstableCheckpoint) {
 }
 
 TEST(CheckpointTest, TamperedCertificateRejected) {
-  CkptFixture fx(/*byz=*/true, 4, 1, /*interval=*/4);
+  EngineFixture fx(/*byz=*/true, 4, 1, /*timeout=*/20000,
+                   /*pipeline_depth=*/0, /*checkpoint_interval=*/4,
+                   /*env_seed=*/11);
   for (int i = 0; i < 6; ++i) {
     fx.hosts[0]->engine->Propose(fx.MakeValue(200 + i));
     fx.env.sim.Run(fx.env.sim.now() + 50000);
