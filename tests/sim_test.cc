@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
+
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/watchdog.h"
@@ -53,10 +57,10 @@ TEST(SimulatorTest, EventsCanScheduleEvents) {
 }
 
 TEST(SimulatorTest, PooledEventsPreserveOrderAcrossPoolReuse) {
-  // The tagged event queue recycles pool slots after each executed
-  // event. (time, insertion-seq) ordering must survive reuse: a second
-  // wave of same-time events, landing in slots freed by the first wave,
-  // still executes in exact insertion order.
+  // The closure pool recycles slots after each executed event. (time,
+  // insertion-seq) ordering must survive reuse: a second wave of
+  // same-time events, landing in slots freed by the first wave, still
+  // executes in exact insertion order.
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
@@ -542,14 +546,14 @@ TEST(NetworkTest, LinkFaultDropIsPerLink) {
 // ------------------------------------------- hierarchical timer wheel
 
 TEST(TimerWheelTest, SameTickOrderAcrossWheelHeapSpillBoundary) {
-  // A timer beyond the wheel horizon spills to the 4-ary heap; a timer
-  // armed later for the SAME tick lands in the wheel. The merge loop
+  // A timer beyond the wheel horizon waits in the wheel's overflow; a
+  // timer armed later for the SAME tick lands in the levels. The wheel
   // must still fire them in global arming (seq) order, and closures
   // scheduled for that tick interleave by seq too.
   NetFixture f;
   TimerActor t(&f.env);
   const SimTime kTick = TimerWheel::kHorizon + 100;
-  t.Arm(kTick, 1, 100);               // beyond horizon: heap spill
+  t.Arm(kTick, 1, 100);               // beyond horizon: overflow
   std::vector<int> closure_pos;
   f.env.sim.Schedule(TimerWheel::kHorizon, [] {});  // advance the clock
   f.env.sim.Run(TimerWheel::kHorizon);
@@ -560,7 +564,7 @@ TEST(TimerWheelTest, SameTickOrderAcrossWheelHeapSpillBoundary) {
   t.Arm(100, 1, 300);                 // armed after the closure
   f.env.sim.RunAll();
   ASSERT_EQ(t.fired.size(), 3u);
-  EXPECT_EQ(t.fired[0].second, 100u);  // heap-spilled timer first (seq)
+  EXPECT_EQ(t.fired[0].second, 100u);  // overflowed timer first (seq)
   EXPECT_EQ(t.fired[1].second, 200u);
   EXPECT_EQ(t.fired[2].second, 300u);
   // The closure was scheduled between the 200 and 300 arms: it must run
@@ -625,6 +629,183 @@ TEST(TimerWheelTest, MessageDeliveriesRideTheWheelDeterministically) {
     return net.trace_hash();
   };
   EXPECT_EQ(run(9), run(9));
+}
+
+/// A message naming the scheduled operation it belongs to.
+struct OpMsg : Message {
+  explicit OpMsg(int op) : Message(MsgType::kRequest), op(op) {}
+  int op;
+};
+
+/// Logs the operation of every timer and handler it runs; message
+/// processing costs no CPU time, so a delivery's handler is scheduled
+/// at the delivery's own time.
+class OpLogActor : public Actor {
+ public:
+  OpLogActor(Env* env, std::vector<int>* log)
+      : Actor(env, "oplog"), log_(log) {}
+  void OnMessage(NodeId, const MessageRef& msg) override {
+    log_->push_back(msg->As<OpMsg>()->op);
+  }
+  void OnTimer(uint64_t, uint64_t op) override {
+    log_->push_back(static_cast<int>(op));
+  }
+  SimTime CostOf(const Message&) const override { return 0; }
+
+ private:
+  std::vector<int>* log_;
+};
+
+TEST(TimerWheelTest, RandomMixRunsInReferenceOrder) {
+  // A seeded mix of closures, timers, deliveries and handler
+  // completions, with delays of 0, same-tick collisions, every wheel
+  // level, the horizon boundary, beyond the horizon and beyond 2^32 µs,
+  // scheduled between Run(until) slices. The simulator must execute
+  // exactly the order of an independent reference: a flat list popped
+  // by (time, schedule order). Some events schedule a child when they
+  // run — a delivery its handler (same time), a closure another closure
+  // — and the reference schedules the same child at the same point.
+  NetFixture f;
+  Simulator& sim = f.env.sim;
+  std::vector<int> got;
+  OpLogActor actor(&f.env, &got);
+
+  struct Ref {
+    SimTime when;
+    uint64_t seq;
+    int op;     // logged when run; -1 for a delivery (its handler logs)
+    int child;  // scheduled when run; -1 for none
+    SimTime child_delay;
+  };
+  std::vector<Ref> ref;
+  std::vector<int> want;
+  uint64_t ref_seq = 0;
+  SimTime ref_now = 0;
+  auto ref_run = [&](SimTime until) {
+    for (;;) {
+      auto it = std::min_element(
+          ref.begin(), ref.end(), [](const Ref& x, const Ref& y) {
+            return x.when != y.when ? x.when < y.when : x.seq < y.seq;
+          });
+      if (it == ref.end() || it->when > until) break;
+      Ref r = *it;
+      ref.erase(it);
+      ref_now = r.when;
+      if (r.op >= 0) want.push_back(r.op);
+      if (r.child >= 0) {
+        ref.push_back({ref_now + r.child_delay, ref_seq++, r.child, -1, 0});
+      }
+    }
+  };
+
+  std::mt19937_64 rng(18);
+  std::vector<SimTime> used;  // scheduled times, for same-tick collisions
+  auto delay = [&]() -> SimTime {
+    const SimTime h = TimerWheel::kHorizon;
+    switch (rng() % 9) {
+      case 0:
+        return 0;
+      case 1: {  // collide with an earlier event's tick, if still ahead
+        SimTime t = used.empty() ? 0 : used[rng() % used.size()];
+        return t >= sim.now() ? t - sim.now() : 0;
+      }
+      case 2:
+        return 1 + static_cast<SimTime>(rng() % 255);  // level 0
+      case 3:
+        return 256 + static_cast<SimTime>(rng() % (65536 - 256));  // level 1
+      case 4:
+        return 65536 + static_cast<SimTime>(rng() % (h - 65536));  // level 2
+      case 5:
+        return h - 1 + static_cast<SimTime>(rng() % 3);  // horizon edge
+      case 6:
+        return h + static_cast<SimTime>(rng() % (4 * h));  // overflow
+      case 7:
+        return (SimTime{1} << 32) + static_cast<SimTime>(rng() % h);
+      default:
+        return static_cast<SimTime>(rng() % 64);  // dense near ticks
+    }
+  };
+
+  int next_op = 0;
+  auto schedule_one = [&]() {
+    const SimTime d = delay();
+    const SimTime when = sim.now() + d;
+    used.push_back(when);
+    const int op = next_op++;
+    switch (rng() % 5) {
+      case 0: {  // closure, sometimes with a child closure
+        int child = -1;
+        SimTime cd = 0;
+        if (rng() % 4 == 0) {
+          child = next_op++;
+          cd = delay();
+        }
+        sim.Schedule(d, [&sim, &got, op, child, cd] {
+          got.push_back(op);
+          if (child >= 0) sim.Schedule(cd, [&got, child] {
+            got.push_back(child);
+          });
+        });
+        ref.push_back({when, ref_seq++, op, child, cd});
+        break;
+      }
+      case 1: {  // absolute closure, sometimes in the past (clamped)
+        SimTime at = rng() % 8 == 0 ? sim.now() / 2 : when;
+        sim.ScheduleAt(at, [&got, op] { got.push_back(op); });
+        ref.push_back({std::max(at, sim.now()), ref_seq++, op, -1, 0});
+        break;
+      }
+      case 2:
+        sim.ScheduleTimer(when, &actor, actor.epoch(), 7,
+                          static_cast<uint64_t>(op));
+        ref.push_back({when, ref_seq++, op, -1, 0});
+        break;
+      case 3:
+        sim.ScheduleDeliver(when, &actor, actor.epoch(), 0,
+                            std::make_shared<OpMsg>(op));
+        ref.push_back({when, ref_seq++, -1, op, 0});
+        break;
+      default:
+        sim.ScheduleHandle(when, &actor, actor.epoch(), 0,
+                           std::make_shared<OpMsg>(op));
+        ref.push_back({when, ref_seq++, op, -1, 0});
+        break;
+    }
+  };
+
+  for (int round = 0; round < 40; ++round) {
+    const int n = 1 + static_cast<int>(rng() % 120);
+    for (int i = 0; i < n; ++i) schedule_one();
+    SimTime step;
+    switch (rng() % 4) {
+      case 0:
+        step = static_cast<SimTime>(rng() % 300);
+        break;
+      case 1:
+        step = static_cast<SimTime>(rng() % 70000);
+        break;
+      case 2:
+        step = static_cast<SimTime>(rng() % (2 * TimerWheel::kHorizon));
+        break;
+      default:
+        step = (SimTime{1} << 32) / 8;
+        break;
+    }
+    const SimTime until = sim.now() + step;
+    sim.Run(until);
+    ref_run(until);
+    ref_now = std::max(ref_now, until);
+    ASSERT_EQ(sim.now(), ref_now) << "round " << round;
+    ASSERT_EQ(sim.pending(), ref.size()) << "round " << round;
+    ASSERT_EQ(got, want) << "round " << round;
+  }
+  sim.RunAll();
+  ref_run(std::numeric_limits<SimTime>::max());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.now(), ref_now);
+  EXPECT_EQ(got, want);
+  EXPECT_GT(ref_now, SimTime{1} << 32);
+  EXPECT_EQ(got.size(), static_cast<size_t>(next_op));
 }
 
 TEST(NetworkTest, TraceHashIsDeterministicPerSeed) {
