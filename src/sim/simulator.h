@@ -104,7 +104,7 @@ class Simulator {
   /// The one insert behind every schedule path: clamps `when` to now and
   /// stamps the next global sequence number.
   void Enqueue(TimerWheel::Kind kind, SimTime when, Actor* actor,
-               uint64_t epoch, uint64_t a, uint64_t b, MessageRef msg) {
+               uint64_t epoch, uint64_t a, uint64_t b, MessageRef&& msg) {
     TimerWheel::Entry e;
     e.when = when < now_ ? now_ : when;
     e.seq = next_seq_++;

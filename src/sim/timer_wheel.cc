@@ -22,13 +22,21 @@ int TimerWheel::ScanFrom(int level, int start) const {
   return -1;
 }
 
-bool TimerWheel::Min(SimTime now, SimTime* when) {
+void TimerWheel::Defer(Entry&& e) {
+  overflow_.push_back(std::move(e));
+  std::push_heap(overflow_.begin(), overflow_.end(), Later);
+}
+
+void TimerWheel::AdmitDue(SimTime now) {
   while (!overflow_.empty() && overflow_.front().when - now < kHorizon) {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later);
-    Entry e = std::move(overflow_.back());
+    Enter(now, std::move(overflow_.back()));
     overflow_.pop_back();
-    Enter(now, std::move(e));
   }
+}
+
+bool TimerWheel::Min(SimTime now, SimTime* when) {
+  if (!overflow_.empty()) AdmitDue(now);
   if (count_ == 0) {
     if (overflow_.empty()) return false;
     *when = overflow_.front().when;

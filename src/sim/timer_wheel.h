@@ -1,7 +1,6 @@
 #ifndef QANAAT_SIM_TIMER_WHEEL_H_
 #define QANAAT_SIM_TIMER_WHEEL_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -74,10 +73,9 @@ class TimerWheel {
 
   /// Inserts an entry with when >= now. `e.seq` must be unique; it
   /// breaks ties between entries of the same `when`.
-  void Insert(SimTime now, Entry e) {
+  void Insert(SimTime now, Entry&& e) {
     if (e.when - now >= kHorizon) {
-      overflow_.push_back(std::move(e));
-      std::push_heap(overflow_.begin(), overflow_.end(), Later);
+      Defer(std::move(e));
       return;
     }
     Enter(now, std::move(e));
@@ -107,7 +105,7 @@ class TimerWheel {
   }
 
   /// Places an entry with now <= e.when < now + kHorizon in the levels.
-  void Enter(SimTime now, Entry e) {
+  void Enter(SimTime now, Entry&& e) {
     if (cache_valid_ && Before(e.when, e.seq, cache_when_, cache_seq_)) {
       cache_valid_ = false;
     }
@@ -119,7 +117,7 @@ class TimerWheel {
     return slots_[(level << kSlotBits) + idx];
   }
 
-  void Place(SimTime delta, Entry e) {
+  void Place(SimTime delta, Entry&& e) {
     int level = delta < (SimTime{1} << kSlotBits)
                     ? 0
                     : delta < (SimTime{1} << (2 * kSlotBits)) ? 1 : 2;
@@ -137,6 +135,13 @@ class TimerWheel {
     bits_[level][idx >> 6] |= uint64_t{1} << (idx & 63);
     ++level_count_[level];
   }
+
+  /// The far-future paths, kept out of line so that Insert() stays small
+  /// enough to inline into every schedule call: Defer() pushes onto the
+  /// overflow, AdmitDue() moves the overflow entries that came within
+  /// the horizon of `now` into the levels.
+  void Defer(Entry&& e);
+  void AdmitDue(SimTime now);
 
   /// First occupied slot of `level` in circular order from `start`;
   /// -1 when the level is empty.
