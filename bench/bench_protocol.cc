@@ -10,8 +10,9 @@
 //    access pattern (one miss, then hits for the same (view, slot,
 //    digest) as votes arrive).
 //  * wheel_storm — self-rearming timers over protocol-shaped delays
-//    (sub-slot watchdogs to multi-second retries, with occasional
-//    far-future spills to the heap): the hierarchical-wheel path.
+//    (sub-slot watchdogs to multi-second retries, with occasional timers
+//    past the wheel's horizon, which wait in its overflow heap): the
+//    simulator's event store in isolation.
 //  * e2e — the fig7-style run (Crd-B, 10% intra-shard cross-enterprise,
 //    seed 1) at three cluster scales (2x2, 4x4, 8x4 enterprises x
 //    shards) at a fixed per-cluster offered load. The 4x4 point (30k tps
@@ -143,8 +144,8 @@ class ProtocolTimerActor : public Actor {
     if (*left_ == 0) return;
     --*left_;
     // Protocol-shaped delays: batcher deadline, slot watchdog, cross
-    // retry, checkpoint horizon — plus a rare far-future spill that
-    // exercises the wheel->heap boundary.
+    // retry, checkpoint horizon — plus a rare timer past the wheel's
+    // horizon that exercises its overflow and the migration back.
     static constexpr SimTime kDelays[] = {120, 2000, 65000, 400000};
     SimTime d = (payload % 97 == 0) ? (20 * kSecond)
                                     : kDelays[payload % 4];
